@@ -5,6 +5,8 @@ equivalence classes of a stripped partition database beats the naive
 all-pairs scan, and the identifier-set variant (Algorithm 3) trades a
 per-couple win for an indexing cost.  The naive baseline is benchmarked
 at a smaller row count — it is O(n * p^2) and exists to show the gap.
+The columnar arm times the NumPy agree step (``candidate_couples`` +
+``resolve_couples``) on the class-id matrix of the same relation.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ def test_agree_identifiers_algorithm3(benchmark, spdb):
 
 
 @pytest.mark.benchmark(group="ablation-agree-sets")
-def test_agree_vectorized(benchmark, spdb):
-    from repro.core.agree_fast import agree_sets_vectorized
+def test_agree_columnar(benchmark):
+    from repro.columnar.agree import columnar_agree_sets
+    from repro.columnar.encode import encode_relation
+    from repro.columnar.grouping import class_matrix
 
-    benchmark(agree_sets_vectorized, spdb)
+    relation = cached_relation(ATTRS, ROWS, CORRELATION)
+    benchmark(columnar_agree_sets, class_matrix(encode_relation(relation)))

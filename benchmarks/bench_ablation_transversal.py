@@ -1,8 +1,8 @@
 """Ablation: transversal search strategies on real cmax hypergraphs.
 
 The paper's levelwise algorithm (Algorithm 5) prunes supersets of found
-transversals via Apriori-gen; Berge's sequential method and the
-FastFDs-style DFS are the classical alternatives; the layered kernel
+transversals via Apriori-gen; Berge's sequential method is the
+classical alternative; the layered kernel
 (:mod:`repro.hypergraph.kernel`) adds a reduction pass and incremental
 edge-coverage masks on top of the levelwise shape.  The extra arms
 isolate the kernel's layers:
@@ -54,13 +54,6 @@ def test_transversal_levelwise(benchmark, cmax_families):
 @pytest.mark.benchmark(group="ablation-transversal")
 def test_transversal_berge(benchmark, cmax_families):
     benchmark(run_all, cmax_families, minimal_transversals_berge)
-
-
-@pytest.mark.benchmark(group="ablation-transversal")
-def test_transversal_dfs(benchmark, cmax_families):
-    from repro.hypergraph.dfs import minimal_transversals_dfs
-
-    benchmark(run_all, cmax_families, minimal_transversals_dfs)
 
 
 @pytest.mark.benchmark(group="ablation-transversal")

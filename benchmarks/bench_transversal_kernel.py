@@ -15,9 +15,11 @@ The tests assert the acceptance floors of the kernel work: both kernel
 backends ≥ 3× the legacy search on the wide workload, with bit-for-bit
 identical transversal families — and, end to end, identical FD covers
 through :class:`~repro.core.depminer.DepMiner` across all transversal
-algorithms at ``jobs`` 1 and 2.  Timings are min-of-repeats; the cmax
-families are mined once (partitions → agree sets → max/cmax) so the
-timers see only the transversal stage.
+algorithms at ``jobs`` 1 and 2.  Timings are min-of-repeats, with
+rounds added until every algorithm has :data:`MIN_SAMPLE_SECONDS` of
+samples (a millisecond-scale workload otherwise rests on one noisy
+sample); the cmax families are mined once (partitions → agree sets →
+max/cmax) so the timers see only the transversal stage.
 
 The workload is environment-parameterised::
 
@@ -50,6 +52,9 @@ CORRELATION = float(
     os.environ.get("REPRO_BENCH_TRANSVERSAL_CORRELATION", "0.6")
 )
 REPEATS = int(os.environ.get("REPRO_BENCH_TRANSVERSAL_REPEATS", "3"))
+#: ``measure`` keeps adding rounds past ``repeats`` until every
+#: algorithm's samples sum to at least this many seconds.
+MIN_SAMPLE_SECONDS = 0.25
 
 MIN_KERNEL_SPEEDUP = 3.0
 MIN_VECTORIZED_SPEEDUP = 3.0
@@ -60,7 +65,7 @@ COVER_ATTRS = int(os.environ.get("REPRO_BENCH_TRANSVERSAL_COVER_ATTRS",
                                  "12"))
 COVER_ROWS = int(os.environ.get("REPRO_BENCH_TRANSVERSAL_COVER_ROWS",
                                 "400"))
-COVER_ALGORITHMS = ("kernel", "vectorized", "levelwise", "berge", "dfs")
+COVER_ALGORITHMS = ("kernel", "vectorized", "levelwise", "berge")
 
 
 def _cmax_families() -> List[List[int]]:
@@ -78,7 +83,11 @@ def _cmax_families() -> List[List[int]]:
 
 
 def measure(repeats: int = REPEATS) -> Dict[str, object]:
-    """Min-of-*repeats* seconds per algorithm over all cmax families."""
+    """Min-of-rounds seconds per algorithm over all cmax families.
+
+    At least *repeats* interleaved rounds, and more until every
+    algorithm has :data:`MIN_SAMPLE_SECONDS` of samples.
+    """
     families = _cmax_families()
     runners = {
         "legacy": lambda edges: minimal_transversals_levelwise(edges, ATTRS),
@@ -88,12 +97,17 @@ def measure(repeats: int = REPEATS) -> Dict[str, object]:
         ),
     }
     best = {name: float("inf") for name in runners}
+    spent = {name: 0.0 for name in runners}
     outputs: Dict[str, List[List[int]]] = {}
-    for _ in range(repeats):
+    rounds = 0
+    while rounds < repeats or min(spent.values()) < MIN_SAMPLE_SECONDS:
         for name, run in runners.items():
             start = time.perf_counter()
             outputs[name] = [run(edges) for edges in families]
-            best[name] = min(best[name], time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            best[name] = min(best[name], elapsed)
+            spent[name] += elapsed
+        rounds += 1
     return {
         "seconds": best,
         "outputs": outputs,

@@ -23,19 +23,19 @@ relative to the checked-in baseline documents:
 - **serve** (``BENCH_serve.json``) — the discovery daemon's
   warm-session cover query against a cold one-shot process and an
   in-process cold mine, plus a bit-identical served cover;
-- **parallel** (``BENCH_parallel.json``) — the persistent worker
-  pool's per-request dispatch latency against a per-call pool, the
-  shared-memory arena's context dispatch against pickled context, and
-  bit-identical covers across serial / ephemeral / persistent modes.
+- **parallel** (``BENCH_parallel.json``) — the shared-memory arena's
+  context dispatch against pickled context, and bit-identical covers
+  across serial / persistent-pool / pickled dispatch.
 
 Every suite additionally runs an instrumented **probe**: a full
 ``DepMiner`` pipeline under a :class:`~repro.obs.Tracer` and
 :class:`~repro.obs.resources.ResourceSampler`, whose
 :class:`~repro.obs.manifest.RunManifest` is written into
 ``results/telemetry/regress_<suite>.json``.  The probe's per-phase
-fractions are compared against the baseline's committed ``phases``
-section, so a failure names *which pipeline phase* grew — per-phase
-attribution, not just a slower total.
+fractions (each phase's fastest time across the probe runs) are
+compared against the baseline's committed ``phases`` section, so a
+failure names *which pipeline phase* grew — per-phase attribution, not
+just a slower total.
 
 All checks are machine-independent: they compare speedup *ratios* and
 relative *phase fractions*, never absolute seconds, and every threshold
@@ -101,8 +101,12 @@ PHASE_SLACK = 0.02
 #: … and phases below this share of the run are ignored outright
 #: (their timings are noise at millisecond scale).
 PHASE_MIN_FRACTION = 0.02
-#: The probe keeps the fastest of this many instrumented runs.
+#: The probe makes at least this many instrumented runs …
 PROBE_RUNS = 3
+#: … and adds runs until they sum to this many seconds, so a
+#: millisecond-scale workload still gets enough runs for stable
+#: per-phase minima.
+PROBE_MIN_SECONDS = 1.0
 
 
 # -- injection ---------------------------------------------------------------
@@ -133,13 +137,31 @@ def inject_slow_kernel() -> None:
 
 # -- instrumented probe ------------------------------------------------------
 
-def run_probe(suite: str, workload: Dict[str, Any],
-              meta: Dict[str, Any]) -> RunManifest:
-    """Best-of-``PROBE_RUNS`` fully instrumented pipeline run.
+def phase_fractions(manifests: List[RunManifest]) -> Dict[str, float]:
+    """Phase shares from each phase's fastest time across *manifests*.
 
-    Keeping the fastest probe (by root-span duration) makes the phase
-    fractions comparable across machines and repeats — the slow probes
-    are the ones a scheduler preempted.
+    One run's fractions carry that run's stalls (a GC pause, a sampler
+    wake-up, a preempted phase); each phase's minimum across runs is
+    what it costs when nothing interferes, so the shares built from
+    the minima are comparable across machines and repeats.
+    """
+    fastest: Dict[str, float] = {}
+    for manifest in manifests:
+        for name, seconds in manifest.phases.items():
+            fastest[name] = min(seconds, fastest.get(name, seconds))
+    total = sum(fastest.values())
+    return {name: seconds / total if total else 0.0
+            for name, seconds in fastest.items()}
+
+
+def run_probe(suite: str, workload: Dict[str, Any],
+              meta: Dict[str, Any]) -> Tuple[RunManifest, Dict[str, float]]:
+    """Fully instrumented pipeline runs: the fastest one's manifest plus
+    the per-phase fractions of :func:`phase_fractions` over all runs.
+
+    At least ``PROBE_RUNS`` runs, and more until they add up to
+    ``PROBE_MIN_SECONDS``.  The manifest of the fastest run (by
+    root-span duration) is the one written to the telemetry directory.
 
     The **ingest** probe streams the bench CSV through ``ingest_csv``
     under the same tracer instead of mining a pre-built relation, so
@@ -154,8 +176,9 @@ def run_probe(suite: str, workload: Dict[str, Any],
             correlation=workload["correlation"], seed=0,
         )
     backend = workload.get("backend", "python")
-    best: Optional[RunManifest] = None
-    for _ in range(PROBE_RUNS):
+    manifests: List[RunManifest] = []
+    while (len(manifests) < PROBE_RUNS
+           or sum(m.total_seconds for m in manifests) < PROBE_MIN_SECONDS):
         tracer = Tracer()
         metrics = MetricsRegistry()
         sampler = ResourceSampler(tracer=tracer)
@@ -171,15 +194,14 @@ def run_probe(suite: str, workload: Dict[str, Any],
                      tracer=tracer, metrics=metrics).run(source)
         finally:
             sampler.stop()
-        manifest = RunManifest.build(
+        manifests.append(RunManifest.build(
             command=f"check-regression:{suite}", tracer=tracer,
             metrics=metrics, resources=sampler,
             meta=dict(meta, probe_workload=workload),
-        )
-        if best is None or manifest.total_seconds < best.total_seconds:
-            best = manifest
-    assert best is not None
-    return best
+        ))
+    best = min(manifests, key=lambda manifest: manifest.total_seconds)
+    best.meta["probe_runs"] = len(manifests)
+    return best, phase_fractions(manifests)
 
 
 def probe_workload(suite: str, bench) -> Dict[str, Any]:
@@ -222,15 +244,14 @@ class Gate:
 
 
 def check_phases(gate: Gate, baseline: Dict[str, Any],
-                 manifest: RunManifest) -> None:
-    """Per-phase attribution: which phase of the probe run grew?"""
+                 current: Dict[str, float]) -> None:
+    """Per-phase attribution: which phase of the probe grew?"""
     committed = baseline.get("phases")
     if not committed:
         gate.check("phases.baseline", True,
                    "baseline has no phases section (pre-gate baseline); "
                    "run --update-baselines to add one")
         return
-    current = manifest.phase_fractions()
     for name in sorted(committed):
         base = committed[name]
         now = current.get(name, 0.0)
@@ -426,14 +447,13 @@ def run_parallel(gate: Gate, baseline: Dict[str, Any]) -> Dict[str, Any]:
     report = bench.report(measured)
     gate.check(
         "covers.dispatch_modes_identical", report["covers_identical"],
-        "serial, ephemeral-pool and persistent-pool covers identical",
+        "serial, persistent-pool and pickled-dispatch covers identical",
     )
     if check_workload(gate, baseline, report):
         floors = baseline.get("floors", {})
         committed = baseline.get("speedup", {})
-        for name in ("persistent_vs_ephemeral", "shm_vs_pickle_dispatch"):
-            if name not in report["speedup"]:
-                continue  # NumPy-free host: no arena to time
+        name = "shm_vs_pickle_dispatch"
+        if name in report["speedup"]:  # NumPy-free host: no arena to time
             check_ratio(gate, name, report["speedup"][name],
                         committed.get(name, 0.0), floors.get(name, 0.0))
     return report
@@ -467,7 +487,7 @@ def bench_module(suite: str):
 # -- baseline regeneration ---------------------------------------------------
 
 def update_baseline(suite: str, baseline_path: Path,
-                    manifest: RunManifest,
+                    fractions: Dict[str, float],
                     report: Dict[str, Any]) -> None:
     """Rewrite one baseline document from the fresh measurements.
 
@@ -487,8 +507,7 @@ def update_baseline(suite: str, baseline_path: Path,
                 floors[name] = round(max(0.1, measured * 0.5), 2)
         document["floors"] = floors
     document["phases"] = {
-        name: round(value, 4)
-        for name, value in manifest.phase_fractions().items()
+        name: round(value, 4) for name, value in fractions.items()
     }
     baseline_path.parent.mkdir(parents=True, exist_ok=True)
     baseline_path.write_text(
@@ -516,7 +535,7 @@ def run_suite(suite: str, baseline_dir: Path, telemetry_dir: Path,
     bench = bench_module(suite)
     started = time.perf_counter()
     report = SUITE_RUNNERS[suite](gate, baseline)
-    manifest = run_probe(
+    manifest, fractions = run_probe(
         suite, probe_workload(suite, bench),
         meta={
             "suite": suite,
@@ -526,7 +545,7 @@ def run_suite(suite: str, baseline_dir: Path, telemetry_dir: Path,
         },
     )
     if not update:
-        check_phases(gate, baseline, manifest)
+        check_phases(gate, baseline, fractions)
     manifest.meta["checks"] = gate.checks
     manifest.meta["bench_report"] = report
     manifest.meta["gate_seconds"] = round(
@@ -535,7 +554,7 @@ def run_suite(suite: str, baseline_dir: Path, telemetry_dir: Path,
     out = manifest.write(telemetry_dir / f"regress_{suite}.json")
     print(f"  telemetry manifest: {out}")
     if update:
-        update_baseline(suite, baseline_path, manifest, report)
+        update_baseline(suite, baseline_path, fractions, report)
         return True, baseline_path
     failures = gate.failures
     if failures:

@@ -14,16 +14,17 @@ import sys
 import time
 from pathlib import Path
 
+from repro.columnar.agree import columnar_agree_sets
+from repro.columnar.encode import encode_relation
+from repro.columnar.grouping import class_matrix
 from repro.core.agree_sets import (
     agree_sets_from_couples,
     agree_sets_from_identifiers,
     naive_agree_sets,
 )
-from repro.core.agree_fast import agree_sets_vectorized
 from repro.core.depminer import DepMiner
 from repro.datagen.synthetic import generate_relation
 from repro.fdep import Fdep
-from repro.hypergraph.dfs import minimal_transversals_dfs
 from repro.hypergraph.transversals import (
     minimal_transversals_berge,
     minimal_transversals_levelwise,
@@ -72,11 +73,17 @@ def main() -> int:
     for name, fn in (
         ("couples (Algorithm 2)", agree_sets_from_couples),
         ("identifiers (Algorithm 3)", agree_sets_from_identifiers),
-        ("vectorized (NumPy)", agree_sets_vectorized),
     ):
         seconds, value = timed(fn, spdb)
         assert value == reference, name
         row("agree-sets", name, seconds)
+    # The columnar agree step (candidate_couples + resolve_couples)
+    # starts from its own class-id matrix, as the stripped partitions
+    # are the row-wise algorithms' input.
+    ec = class_matrix(encode_relation(relation))
+    seconds, value = timed(columnar_agree_sets, ec)
+    assert value == reference, "columnar"
+    row("agree-sets", "columnar (NumPy)", seconds)
     lines.append("")
 
     # Transversal strategies on the mined cmax families.
@@ -90,7 +97,6 @@ def main() -> int:
     for name, algorithm in (
         ("levelwise (Algorithm 5)", minimal_transversals_levelwise),
         ("Berge sequential", minimal_transversals_berge),
-        ("DFS (FastFDs-style)", minimal_transversals_dfs),
     ):
         seconds, value = timed(run_transversals, algorithm)
         assert value == reference_tr, name
@@ -104,8 +110,8 @@ def main() -> int:
         ("Dep-Miner 2", lambda: DepMiner(
             build_armstrong="none", agree_algorithm="identifiers"
         ).run(relation).fds),
-        ("Dep-Miner (vectorized)", lambda: DepMiner(
-            build_armstrong="none", agree_algorithm="vectorized"
+        ("Dep-Miner (columnar)", lambda: DepMiner(
+            build_armstrong="none", backend="columnar"
         ).run(relation).fds),
         ("TANE", lambda: Tane().run(relation).fds),
         ("FDEP", lambda: Fdep().run(relation).fds),

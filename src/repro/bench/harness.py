@@ -60,7 +60,6 @@ ALGORITHM_LABELS = {
     "depminer2": "Dep-Miner 2",
     "tane": "TANE",
     "fdep": "FDEP",
-    "depminer-fast": "Dep-Miner (vec)",
     "depminer-columnar": "Dep-Miner (col)",
 }
 
@@ -86,12 +85,6 @@ def _run_tane(relation: Relation, jobs: int = 1, cache=None,
     result = tane_with_armstrong(relation, **obs)
     size = len(result.armstrong) if result.armstrong is not None else None
     return len(result.fds), size
-
-def _run_depminer_fast(relation: Relation, jobs: int = 1, cache=None,
-                       **obs) -> Tuple[int, Optional[int]]:
-    result = DepMiner(agree_algorithm="vectorized", jobs=jobs, cache=cache,
-                      **obs).run(relation)
-    return len(result.fds), result.armstrong_size
 
 def _run_depminer_columnar(relation: Relation, jobs: int = 1, cache=None,
                            **obs) -> Tuple[int, Optional[int]]:
@@ -122,7 +115,6 @@ _RUNNERS: Dict[str, Callable[..., Tuple[int, Optional[int]]]] = {
     "depminer2": _run_depminer2,
     "tane": _run_tane,
     "fdep": _run_fdep,
-    "depminer-fast": _run_depminer_fast,
     "depminer-columnar": _run_depminer_columnar,
 }
 

@@ -318,7 +318,7 @@ class PipelineKeys:
 
     def __init__(self, relation_key: str, *, nulls_equal: bool,
                  agree_algorithm: str, max_couples, jobs: int,
-                 transversal_method: str, max_lhs_size,
+                 transversal_algorithm: str, max_lhs_size,
                  backend: str = "python"):
         self.relation = relation_key
         self.partitions = stage_key(
@@ -332,7 +332,7 @@ class PipelineKeys:
         self.cover = stage_key(
             relation_key, "cover", nulls_equal=nulls_equal,
             algorithm=agree_algorithm, max_couples=max_couples, jobs=jobs,
-            method=transversal_method, max_lhs_size=max_lhs_size,
+            method=transversal_algorithm, max_lhs_size=max_lhs_size,
             backend=backend,
         )
 
@@ -345,7 +345,7 @@ class PipelineKeys:
             agree_algorithm=miner.agree_algorithm,
             max_couples=miner.max_couples,
             jobs=miner.jobs,
-            transversal_method=miner.transversal_method,
+            transversal_algorithm=miner.transversal_algorithm,
             max_lhs_size=miner.max_lhs_size,
             backend=getattr(miner, "backend", "python"),
         )

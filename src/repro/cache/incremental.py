@@ -440,8 +440,6 @@ class IncrementalMiner:
             }
             resolve = resolve_couples_with_identifiers
         else:
-            # "couples" — and "vectorized", whose NumPy path has no
-            # per-couple API; the tables resolve the delta identically.
             kind = "agree.couples"
             shared = {"class_of": build_class_index_tables(spdb)}
             resolve = resolve_couples_with_tables

@@ -205,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument("csv", help="input CSV file (header row expected)")
     discover.add_argument(
         "--algorithm",
-        choices=("couples", "identifiers", "vectorized"),
+        choices=("couples", "identifiers"),
         default="couples",
         help="agree-set algorithm (couples = Dep-Miner, identifiers = "
-             "Dep-Miner 2, vectorized = NumPy fast path)",
+             "Dep-Miner 2; --backend columnar is the NumPy fast path)",
     )
     discover.add_argument(
         "--max-couples", type=int, default=None,
@@ -226,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     discover.add_argument(
         "--transversal",
-        choices=("kernel", "vectorized", "levelwise", "berge", "dfs"),
+        choices=("kernel", "vectorized", "levelwise", "berge"),
         default="kernel",
         help="transversal algorithm for the LEFT_HAND_SIDE phase "
              "(kernel = reductions + incremental coverage, the default; "
              "vectorized = kernel with the NumPy batch backend; "
-             "levelwise = the paper's Algorithm 5; berge/dfs = oracles)",
+             "levelwise = the paper's Algorithm 5; berge = oracle)",
     )
     discover.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
@@ -319,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--algorithms", nargs="+",
-        choices=tuple(ALGORITHM_NAMES) + ("fdep", "depminer-fast",
-                                          "depminer-columnar"),
+        choices=tuple(ALGORITHM_NAMES) + ("fdep", "depminer-columnar"),
         default=list(ALGORITHM_NAMES),
     )
     bench.add_argument(

@@ -13,8 +13,8 @@ couple population is resolved in one array sweep per attribute:
 2. :func:`resolve_couples` intersects the per-tuple class-identifier
    arrays: per attribute, one vectorized comparison marks the agreeing
    couples and ORs the attribute's bit into ``uint64`` lane
-   accumulators (63 usable bits per lane, same layout as
-   :mod:`repro.core.agree_fast` and the transversal kernel);
+   accumulators (63 usable bits per lane, same layout as the
+   transversal kernel);
 3. one ``np.unique`` collapses the per-couple lane rows into the
    distinct agree-set masks.
 
@@ -35,9 +35,8 @@ __all__ = [
     "columnar_agree_sets",
 ]
 
-#: Usable bits per ``uint64`` lane — matches ``repro.core.agree_fast``
-#: and ``repro.hypergraph.kernel`` (kept clear of sign pitfalls in
-#: int ↔ uint64 conversions).
+#: Usable bits per ``uint64`` lane — matches ``repro.hypergraph.kernel``
+#: (kept clear of sign pitfalls in int ↔ uint64 conversions).
 _BITS_PER_LANE = 63
 
 

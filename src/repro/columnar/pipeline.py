@@ -18,8 +18,8 @@ by the array primitives of this package:
   lane-packed masks (serial path; the ``jobs > 1`` path reuses the
   fused per-RHS ``parallel_cmax_lhs`` tail of the Python backend);
 - ``lhs`` — the existing transversal search; the default ``"kernel"``
-  method is resolved to the kernel's lane-packed ``"vectorized"``
-  backend (explicit method choices are honoured unchanged);
+  algorithm is resolved to the kernel's lane-packed ``"vectorized"``
+  backend (explicit choices are honoured unchanged);
 - ``fd_output`` / ``armstrong`` — shared with the Python path verbatim.
 
 Caching mirrors ``DepMiner._run_cached``: cover bundle first, then
@@ -43,7 +43,7 @@ from repro.core.lhs import fd_output, left_hand_sides
 from repro.core.relation import Relation
 from repro.obs import MetricsRegistry, Tracer, get_logger
 
-__all__ = ["run_columnar", "resolved_transversal_method"]
+__all__ = ["run_columnar", "resolved_transversal_algorithm"]
 
 logger = get_logger(__name__)
 
@@ -51,18 +51,18 @@ logger = get_logger(__name__)
 _UNSET = object()
 
 
-def resolved_transversal_method(miner) -> str:
-    """The transversal method the columnar backend actually runs.
+def resolved_transversal_algorithm(miner) -> str:
+    """The transversal algorithm the columnar backend actually runs.
 
     The default ``"kernel"`` choice becomes the kernel's lane-packed
     ``"vectorized"`` backend — the cmax stage already produces packed
     bitmask families, so they feed straight into the NumPy kernel.  Any
-    explicitly chosen method (``levelwise``, ``berge``, …) is honoured
-    unchanged; every method yields the identical cover.
+    explicitly chosen algorithm (``levelwise``, ``berge``, …) is
+    honoured unchanged; every algorithm yields the identical cover.
     """
-    if miner.transversal_method == "kernel":
+    if miner.transversal_algorithm == "kernel":
         return "vectorized"
-    return miner.transversal_method
+    return miner.transversal_algorithm
 
 
 def run_columnar(miner, relation, tracer: Tracer,
@@ -195,7 +195,7 @@ def _complete(miner, agree, schema, num_rows, relation, stats,
     """Steps 2–4 of the columnar run, plus the cover write-back."""
     if executor is _UNSET:
         executor = miner._make_executor(tracer, metrics)
-    method = resolved_transversal_method(miner)
+    method = resolved_transversal_algorithm(miner)
     if executor is not None:
         from repro.parallel.shards import parallel_cmax_lhs
 

@@ -49,6 +49,7 @@ __all__ = [
     "agree_sets_from_identifiers",
     "agree_sets",
     "AGREE_SET_ALGORITHMS",
+    "check_agree_options",
     "build_class_index_tables",
     "resolve_couples_with_tables",
     "resolve_couples_with_identifiers",
@@ -295,8 +296,26 @@ def agree_sets_from_identifiers(spdb: StrippedPartitionDatabase,
 AGREE_SET_ALGORITHMS = {
     "couples": agree_sets_from_couples,
     "identifiers": agree_sets_from_identifiers,
-    "vectorized": None,  # resolved lazily (NumPy import)
 }
+
+
+def check_agree_options(algorithm: str, max_couples: Optional[int]) -> None:
+    """Raise the :class:`ReproError` :func:`agree_sets` would raise for
+    this configuration (``DepMiner`` checks it at construction)."""
+    if algorithm not in AGREE_SET_ALGORITHMS:
+        raise ReproError(
+            f"unknown agree-set algorithm {algorithm!r}; "
+            f"choose from {sorted(AGREE_SET_ALGORITHMS)}"
+        )
+    if max_couples is not None:
+        if algorithm != "couples":
+            raise ReproError(
+                "max_couples only applies to the 'couples' algorithm"
+            )
+        if max_couples < 1:
+            raise ReproError(
+                "max_couples must be a positive integer or None"
+            )
 
 
 def agree_sets(spdb: StrippedPartitionDatabase, algorithm: str = "couples",
@@ -312,38 +331,12 @@ def agree_sets(spdb: StrippedPartitionDatabase, algorithm: str = "couples",
     applies to the couples algorithm.  *metrics*/*progress* are the
     optional observability hooks (see :mod:`repro.obs`).
     """
-    if algorithm == "couples":
-        return agree_sets_from_couples(
-            spdb, max_couples=max_couples, mc=mc, stats=stats,
-            metrics=metrics, progress=progress,
-        )
+    check_agree_options(algorithm, max_couples)
     if algorithm == "identifiers":
-        if max_couples is not None:
-            raise ReproError(
-                "max_couples only applies to the 'couples' algorithm"
-            )
         return agree_sets_from_identifiers(
             spdb, mc=mc, stats=stats, metrics=metrics, progress=progress
         )
-    if algorithm == "vectorized":
-        if max_couples is not None:
-            raise ReproError(
-                "max_couples only applies to the 'couples' algorithm"
-            )
-        try:
-            from repro.core.agree_fast import agree_sets_vectorized
-        except ImportError as error:
-            raise ReproError(
-                "agree_algorithm='vectorized' needs NumPy, which is not "
-                "installed; run `pip install 'repro[fast]'` (or plain "
-                "`pip install numpy`), or choose the pure-Python "
-                "'couples'/'identifiers' algorithms"
-            ) from error
-
-        return agree_sets_vectorized(
-            spdb, mc=mc, stats=stats, metrics=metrics, progress=progress
-        )
-    raise ReproError(
-        f"unknown agree-set algorithm {algorithm!r}; "
-        f"choose from {sorted(AGREE_SET_ALGORITHMS)}"
+    return agree_sets_from_couples(
+        spdb, max_couples=max_couples, mc=mc, stats=stats,
+        metrics=metrics, progress=progress,
     )

@@ -34,14 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.core.agree_sets import agree_sets
+from repro.core.agree_sets import agree_sets, check_agree_options
 from repro.core.armstrong import (
     classical_armstrong,
     real_world_armstrong,
     real_world_armstrong_exists,
 )
 from repro.core.attributes import AttributeSet, Schema
-from repro.core.lhs import fd_output, left_hand_sides
+from repro.core.lhs import (
+    check_transversal_options,
+    fd_output,
+    left_hand_sides,
+)
 from repro.core.maximal_sets import (
     complement_maximal_sets,
     max_set_union,
@@ -61,6 +65,7 @@ from repro.parallel.executor import (
     PersistentPool,
     ShardedExecutor,
     resolve_jobs,
+    resolve_shard_timeout,
     resolve_start_method,
 )
 from repro.partitions.database import StrippedPartitionDatabase
@@ -146,10 +151,9 @@ class DepMiner:
     Parameters
     ----------
     agree_algorithm:
-        ``"couples"`` (Algorithm 2 — the paper's *Dep-Miner*),
-        ``"identifiers"`` (Algorithm 3 — *Dep-Miner 2*) or
-        ``"vectorized"`` (a NumPy fast path with identical output,
-        typically 5–10x faster on large inputs).
+        ``"couples"`` (Algorithm 2 — the paper's *Dep-Miner*) or
+        ``"identifiers"`` (Algorithm 3 — *Dep-Miner 2*).  The NumPy
+        fast path is ``backend="columnar"``.
     max_couples:
         Memory threshold for the couples algorithm (chunked processing);
         ``None`` keeps every couple in memory.
@@ -159,12 +163,9 @@ class DepMiner:
         same kernel with the NumPy lane-packed batch backend, falling
         back to the pure kernel when NumPy is missing — install the
         ``repro[fast]`` extra), ``"levelwise"`` (the paper's Algorithm 5
-        verbatim — pick this to reproduce the paper's exact search),
-        ``"berge"`` (sequential baseline) or ``"dfs"`` (FastFDs-style
-        search).  Every algorithm produces bit-for-bit the same FD
-        cover; they differ only in speed.  ``transversal_method`` is the
-        pre-kernel name of the same option, kept as an alias (passing
-        both with different values is an error).
+        verbatim — pick this to reproduce the paper's exact search) or
+        ``"berge"`` (sequential baseline).  Every algorithm produces
+        bit-for-bit the same FD cover; they differ only in speed.
     build_armstrong:
         Whether step 5 runs.  ``"real-world"`` (default) builds the
         value-preserving relation when Proposition 1 allows it and falls
@@ -179,7 +180,7 @@ class DepMiner:
         Optional cap on the lhs size for very wide schemas; the output
         is then every minimal FD with at most that many lhs attributes
         (sound but incomplete).  Kernel, vectorized and levelwise
-        methods only.
+        algorithms only.
     cache:
         Optional :class:`repro.cache.ArtifactStore`.  ``run`` then
         fingerprints the relation (column-wise, row-order-insensitive)
@@ -199,9 +200,12 @@ class DepMiner:
         couples are resolved in chunks by a process pool and the
         ``CMAX_SET`` + transversal tail fans out per RHS attribute
         (fused into the ``lhs`` phase span; the ``cmax`` span then
-        covers only parent-side shard preparation).  The ``vectorized``
-        agree algorithm always runs serial (NumPy is already
-        column-parallel); its lhs phase still shards.
+        covers only parent-side shard preparation).  Pooled maps run
+        on one lazily-built, reusable worker pool per miner — reused
+        across ``run()`` calls, which is what makes repeated
+        daemon-style requests cheap — with the heavy shared context
+        published zero-copy through the shared-memory arena whenever
+        :mod:`multiprocessing.shared_memory` is usable.
     shard_timeout:
         Optional per-shard timeout in seconds for ``jobs > 1``
         (:class:`repro.parallel.ShardTimeoutError` aborts the run).
@@ -210,19 +214,6 @@ class DepMiner:
         ``"spawn"`` (or any method the platform offers).  ``None``
         (default) prefers fork where available.  An unavailable method
         raises :class:`repro.parallel.MpContextError` immediately.
-    pool_mode:
-        ``"persistent"`` (default) runs every pooled map of this miner
-        on one lazily-built, reusable worker pool — reused across
-        ``run()`` calls, which is what makes repeated daemon-style
-        requests cheap — with the heavy shared context published
-        zero-copy through the shared-memory arena.  ``"ephemeral"``
-        restores the legacy pool-per-map behaviour.  Identical output
-        either way (the oracle grid asserts it).
-    shm:
-        Shared-memory arena switch: ``None`` (auto, default) uses
-        :mod:`multiprocessing.shared_memory` whenever available,
-        ``False`` forces classic pickling, ``True`` insists on the
-        arena where available.
     pool:
         An externally-owned :class:`repro.parallel.PersistentPool` to
         run on (the service shares one across sessions).  Worker count
@@ -245,13 +236,18 @@ class DepMiner:
         columns, lexsort grouping, batch agree-set intersection and
         lane-packed cmax derivation — with bit-for-bit the same cover
         (the oracle-conformance suite asserts it; see
-        ``docs/columnar.md``).  The columnar backend ignores
-        ``agree_algorithm`` (its resolution is inherently vectorized)
-        and resolves the default ``"kernel"`` transversal method to the
+        ``docs/columnar.md``).  The columnar backend resolves couples
+        with its own vectorized agree step, so it accepts only
+        ``agree_algorithm="couples"`` and no ``max_couples``; it
+        resolves the default ``"kernel"`` transversal algorithm to the
         kernel's NumPy ``"vectorized"`` backend.  When NumPy is missing
         the miner logs a warning and falls back to ``"python"``;
         :func:`repro.columnar.require_numpy` is the strict, typed
         (:class:`repro.columnar.ColumnarUnavailableError`) probe.
+
+    Every option is checked here, after the NumPy fallback has settled
+    the backend: a bad value, or one the backend cannot honour, raises
+    :class:`ReproError` at construction rather than inside ``run()``.
     """
 
     #: The default transversal algorithm (the layered kernel; see
@@ -260,8 +256,7 @@ class DepMiner:
 
     def __init__(self, agree_algorithm: str = "couples",
                  max_couples: Optional[int] = None,
-                 transversal_method: Optional[str] = None,
-                 transversal_algorithm: Optional[str] = None,
+                 transversal_algorithm: str = DEFAULT_TRANSVERSAL,
                  build_armstrong: str = "real-world",
                  nulls_equal: bool = True,
                  max_lhs_size: Optional[int] = None,
@@ -269,8 +264,6 @@ class DepMiner:
                  jobs: int = 1,
                  shard_timeout: Optional[float] = None,
                  mp_context: Optional[str] = None,
-                 pool_mode: str = "persistent",
-                 shm: Optional[bool] = None,
                  pool: Optional[PersistentPool] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -280,14 +273,6 @@ class DepMiner:
             raise ReproError(
                 f"build_armstrong must be 'real-world', 'classical', "
                 f"'none' or 'strict'; got {build_armstrong!r}"
-            )
-        if (transversal_method is not None
-                and transversal_algorithm is not None
-                and transversal_method != transversal_algorithm):
-            raise ReproError(
-                f"transversal_method={transversal_method!r} and "
-                f"transversal_algorithm={transversal_algorithm!r} conflict; "
-                f"pass only one (they are aliases)"
             )
         if backend not in ("python", "columnar"):
             raise ReproError(
@@ -302,16 +287,22 @@ class DepMiner:
                     "pure-Python backend (install the repro[fast] extra)"
                 )
                 backend = "python"
+        check_agree_options(agree_algorithm, max_couples)
+        if backend == "columnar" and (agree_algorithm != "couples"
+                                      or max_couples is not None):
+            # Its own vectorized agree step, with no couple-memory
+            # bound yet; the python backend honours both options.
+            raise ReproError(
+                f"the columnar backend accepts only agree_algorithm="
+                f"'couples' and max_couples=None; got "
+                f"agree_algorithm={agree_algorithm!r}, "
+                f"max_couples={max_couples!r} (use backend='python')"
+            )
+        check_transversal_options(transversal_algorithm, max_lhs_size)
         self.backend = backend
         self.agree_algorithm = agree_algorithm
         self.max_couples = max_couples
-        # `transversal_method` is the historical name of the option and
-        # doubles as the attribute the cache fingerprint reads.
-        self.transversal_method = (
-            transversal_algorithm if transversal_algorithm is not None
-            else transversal_method if transversal_method is not None
-            else self.DEFAULT_TRANSVERSAL
-        )
+        self.transversal_algorithm = transversal_algorithm
         self.build_armstrong = build_armstrong
         self.nulls_equal = nulls_equal
         # Optional lhs-size cap for very wide schemas: the transversal
@@ -320,17 +311,10 @@ class DepMiner:
         self.max_lhs_size = max_lhs_size
         self.cache = cache
         self.jobs = resolve_jobs(jobs)
-        self.shard_timeout = shard_timeout
+        self.shard_timeout = resolve_shard_timeout(shard_timeout)
         # Validate eagerly: a bad --mp-context should fail at
         # construction, not in the middle of a mining run.
         self.mp_context = resolve_start_method(mp_context)
-        if pool_mode not in ("persistent", "ephemeral"):
-            raise ReproError(
-                f"pool_mode must be 'persistent' or 'ephemeral'; "
-                f"got {pool_mode!r}"
-            )
-        self.pool_mode = pool_mode
-        self.shm = shm
         if pool is not None and pool.jobs != self.jobs:
             raise ReproError(
                 f"external pool has {pool.jobs} worker(s) but the miner "
@@ -345,11 +329,6 @@ class DepMiner:
         #: call.  Holds the partial span tree when a phase raised.
         self.last_trace: Optional[Tracer] = None
 
-    @property
-    def transversal_algorithm(self) -> str:
-        """The configured transversal algorithm (alias of the ctor option)."""
-        return self.transversal_method
-
     def _begin_trace(self) -> Tracer:
         tracer = self.tracer if self.tracer is not None else Tracer()
         self.last_trace = tracer
@@ -361,25 +340,19 @@ class DepMiner:
 
         One executor per run, shared by the agree-set chunks and the
         per-attribute lhs fan-out; ``jobs=1`` keeps every call serial.
-        In persistent mode every executor runs on the *miner's* one
+        Every executor runs on the *miner's* one
         :class:`~repro.parallel.PersistentPool` (built lazily on the
         first pooled map, injected into incremental-append resolution
         too), so repeated ``run()`` calls stop paying pool spin-up.
         """
         if self.jobs <= 1:
             return None
-        pool = None
-        if self.pool_mode == "persistent":
-            if self._pool is None or self._pool.closed:
-                self._pool = PersistentPool(
-                    self.jobs, mp_context=self.mp_context
-                )
-                self._owns_pool = True
-            pool = self._pool
+        if self._pool is None or self._pool.closed:
+            self._pool = PersistentPool(self.jobs, mp_context=self.mp_context)
+            self._owns_pool = True
         return ShardedExecutor(
             jobs=self.jobs, shard_timeout=self.shard_timeout,
-            mp_context=self.mp_context, pool=pool,
-            pool_mode=self.pool_mode, shm=self.shm,
+            mp_context=self.mp_context, pool=self._pool,
             tracer=tracer, metrics=metrics, progress=self.progress,
         )
 
@@ -604,8 +577,7 @@ class DepMiner:
                 (len(cls) for cls in mc), default=0
             )
             metrics.gauge("agree.maximal_classes", len(mc))
-            if executor is not None and \
-                    self.agree_algorithm in ("couples", "identifiers"):
+            if executor is not None:
                 from repro.parallel.shards import parallel_agree_sets
 
                 agree = parallel_agree_sets(
@@ -613,11 +585,6 @@ class DepMiner:
                     max_couples=self.max_couples, mc=mc, stats=stats,
                 )
             else:
-                if executor is not None:
-                    logger.debug(
-                        "agree algorithm %r has no sharded path; running "
-                        "serial (lhs still shards)", self.agree_algorithm,
-                    )
                 agree = agree_sets(
                     spdb,
                     algorithm=self.agree_algorithm,
@@ -654,11 +621,11 @@ class DepMiner:
             with tracer.span("cmax", phase=True, jobs=self.jobs):
                 agree_list = sorted(agree)
             with tracer.span("lhs", phase=True,
-                             method=self.transversal_method,
+                             method=self.transversal_algorithm,
                              jobs=self.jobs, fused_cmax=True) as lhs_span:
                 max_sets, cmax, lhs_sets = parallel_cmax_lhs(
                     agree_list, schema, executor,
-                    method=self.transversal_method,
+                    method=self.transversal_algorithm,
                     max_size=self.max_lhs_size,
                 )
                 metrics.gauge(
@@ -675,16 +642,16 @@ class DepMiner:
                 )
 
             with tracer.span("lhs", phase=True,
-                             method=self.transversal_method) as lhs_span:
+                             method=self.transversal_algorithm) as lhs_span:
                 lhs_sets = left_hand_sides(
-                    cmax, schema, method=self.transversal_method,
+                    cmax, schema, method=self.transversal_algorithm,
                     max_size=self.max_lhs_size,
                     metrics=metrics, progress=self.progress,
                     tracer=tracer,
                 )
         logger.debug(
             "lhs families computed via %s (%.3fs)",
-            self.transversal_method, lhs_span.duration,
+            self.transversal_algorithm, lhs_span.duration,
         )
 
         with tracer.span("fd_output", phase=True):

@@ -21,16 +21,39 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.attributes import AttributeSet, Schema
+from repro.errors import ReproError
 from repro.fd.fd import FD, sort_fds
-from repro.hypergraph.transversals import minimal_transversals
+from repro.hypergraph.transversals import (
+    minimal_transversals,
+    resolve_transversal,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressCallback, emit_progress
 
-__all__ = ["left_hand_sides", "fd_output", "SIZE_BOUNDED_METHODS"]
+__all__ = [
+    "left_hand_sides",
+    "fd_output",
+    "check_transversal_options",
+    "SIZE_BOUNDED_METHODS",
+]
 
 #: The transversal algorithms that honour ``max_size`` (levelwise
-#: truncation); Berge and the DFS enumerate complete families only.
+#: truncation); Berge enumerates complete families only.
 SIZE_BOUNDED_METHODS = ("levelwise", "kernel", "vectorized")
+
+
+def check_transversal_options(method: str, max_size: Optional[int]) -> None:
+    """Raise the :class:`ReproError` the lhs search would raise for this
+    configuration (``DepMiner`` checks it at construction)."""
+    resolve_transversal(method)
+    if max_size is not None:
+        if method not in SIZE_BOUNDED_METHODS:
+            raise ReproError(
+                "max_size is only supported by the levelwise, kernel and "
+                "vectorized methods"
+            )
+        if max_size < 1:
+            raise ReproError("max_size must be a positive integer or None")
 
 
 def left_hand_sides(cmax: Dict[int, List[int]], schema: Schema,
@@ -45,12 +68,11 @@ def left_hand_sides(cmax: Dict[int, List[int]], schema: Schema,
     *method* selects the transversal algorithm (``"kernel"`` is the
     reduction + incremental-coverage kernel DepMiner defaults to,
     ``"vectorized"`` its NumPy batch backend, ``"levelwise"`` the
-    paper's Algorithm 5, ``"berge"`` the sequential baseline, ``"dfs"``
-    the FastFDs-style search).  *max_size* bounds the lhs size and is
-    only supported by the size-bounded methods
-    (:data:`SIZE_BOUNDED_METHODS`): the result is then every minimal lhs
-    of at most that many attributes (sound but incomplete — the usual
-    wide-schema trade-off).
+    paper's Algorithm 5, ``"berge"`` the sequential baseline).
+    *max_size* bounds the lhs size and is only supported by the
+    size-bounded methods (:data:`SIZE_BOUNDED_METHODS`): the result is
+    then every minimal lhs of at most that many attributes (sound but
+    incomplete — the usual wide-schema trade-off).
 
     *metrics* receives ``transversal.level_size`` /
     ``lhs.candidates_generated`` from the levelwise searches (plus the
@@ -61,13 +83,7 @@ def left_hand_sides(cmax: Dict[int, List[int]], schema: Schema,
     span (kernel/vectorized methods only).
     """
     width = len(schema)
-    if max_size is not None and method not in SIZE_BOUNDED_METHODS:
-        from repro.errors import ReproError
-
-        raise ReproError(
-            "max_size is only supported by the levelwise, kernel and "
-            "vectorized methods"
-        )
+    check_transversal_options(method, max_size)
     result: Dict[int, List[int]] = {}
     for done, (attribute, edges) in enumerate(cmax.items()):
         if progress is not None:

@@ -5,7 +5,6 @@ from repro.hypergraph.hypergraph import (
     maximize_sets,
     minimize_sets,
 )
-from repro.hypergraph.dfs import minimal_transversals_dfs
 from repro.hypergraph.kernel import (
     HypergraphReduction,
     minimal_transversals_kernel,
@@ -25,7 +24,6 @@ __all__ = [
     "minimal_transversals",
     "minimal_transversals_levelwise",
     "minimal_transversals_berge",
-    "minimal_transversals_dfs",
     "minimal_transversals_kernel",
     "reduce_hypergraph",
     "HypergraphReduction",

@@ -36,7 +36,7 @@ This module rebuilds the search as three layers:
 
 3. **Vectorized batch backend** (optional, NumPy): a whole level's
    coverage masks live in lane-packed ``uint64`` arrays (mirroring
-   ``repro.core.agree_fast``); the per-level transversality test is one
+   ``repro.columnar.agree``); the per-level transversality test is one
    vectorized compare-and-reduce.  Selected with ``backend="vectorized"``
    and falling back to the pure-Python core (with a logged warning) when
    NumPy is not installed — ``pip install 'repro[fast]'`` provides it.
@@ -72,7 +72,7 @@ __all__ = [
 
 logger = get_logger(__name__)
 
-#: uint64 lanes keep one bit headroom, exactly like ``agree_fast``:
+#: uint64 lanes keep one bit headroom, exactly like ``columnar.agree``:
 #: conversions from Python ints never touch the sign bit.
 _BITS_PER_LANE = 63
 

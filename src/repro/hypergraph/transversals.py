@@ -32,6 +32,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressCallback, emit_progress
 
 __all__ = [
+    "resolve_transversal",
     "minimal_transversals",
     "minimal_transversals_levelwise",
     "minimal_transversals_berge",
@@ -168,12 +169,6 @@ def minimal_transversals_berge(edges: Sequence[int],
     return sorted(current)
 
 
-def _dfs(edges: Sequence[int], num_vertices: int) -> List[int]:
-    from repro.hypergraph.dfs import minimal_transversals_dfs
-
-    return minimal_transversals_dfs(edges, num_vertices)
-
-
 def _kernel(edges: Sequence[int], num_vertices: int) -> List[int]:
     from repro.hypergraph.kernel import minimal_transversals_kernel
 
@@ -190,10 +185,20 @@ def _kernel_vectorized(edges: Sequence[int], num_vertices: int) -> List[int]:
 _METHODS = {
     "levelwise": minimal_transversals_levelwise,
     "berge": minimal_transversals_berge,
-    "dfs": _dfs,
     "kernel": _kernel,
     "vectorized": _kernel_vectorized,
 }
+
+
+def resolve_transversal(method: str):
+    """The algorithm registered as *method*, or a typed :class:`ReproError`."""
+    try:
+        return _METHODS[method]
+    except KeyError:
+        raise ReproError(
+            f"unknown transversal method {method!r}; "
+            f"choose from {sorted(_METHODS)}"
+        ) from None
 
 
 def minimal_transversals(edges: Sequence[int], num_vertices: int,
@@ -201,18 +206,9 @@ def minimal_transversals(edges: Sequence[int], num_vertices: int,
     """Dispatch to a minimal-transversal algorithm by name.
 
     *method* is ``"levelwise"`` (the paper's Algorithm 5, the default),
-    ``"berge"`` (sequential baseline), ``"dfs"`` (the FastFDs-style
-    ordered depth-first search — the paper's follow-up work),
-    ``"kernel"`` (the reduction + incremental-coverage kernel of
-    :mod:`repro.hypergraph.kernel`) or ``"vectorized"`` (the same kernel
-    with the NumPy lane-packed batch backend; falls back to the pure
-    kernel when NumPy is missing).
+    ``"berge"`` (sequential baseline), ``"kernel"`` (the reduction +
+    incremental-coverage kernel of :mod:`repro.hypergraph.kernel`) or
+    ``"vectorized"`` (the same kernel with the NumPy lane-packed batch
+    backend; falls back to the pure kernel when NumPy is missing).
     """
-    try:
-        algorithm = _METHODS[method]
-    except KeyError:
-        raise ReproError(
-            f"unknown transversal method {method!r}; "
-            f"choose from {sorted(_METHODS)}"
-        ) from None
-    return algorithm(edges, num_vertices)
+    return resolve_transversal(method)(edges, num_vertices)

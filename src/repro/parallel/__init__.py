@@ -10,8 +10,7 @@ package is the ``--jobs N`` machinery that exploits it:
   channel, and worker observability (seconds + counters) relayed back
   through the result queue.  Pooled maps run on a lazily-built
   :class:`PersistentPool` reused across maps, runs and service
-  requests (``pool_mode="ephemeral"`` restores the legacy
-  one-pool-per-map behaviour);
+  requests;
 - :mod:`repro.parallel.shm` — :class:`SharedArrayArena`: zero-copy
   publication of the heavy read-only shard context (code/class
   matrices, packed agree bitsets, pickled-once blobs) through
@@ -27,7 +26,7 @@ package is the ``--jobs N`` machinery that exploits it:
 serial pipeline; any ``jobs`` value yields bit-for-bit identical FD
 covers, agree sets, cmax sets and Armstrong relations (held by the
 differential suite in ``tests/test_parallel.py`` and the
-backend × jobs × shm × pool-mode oracle grid).  See
+backend × jobs × cache oracle grid, plus its shared-memory-off cell).  See
 ``docs/parallel.md`` for the design notes.
 """
 

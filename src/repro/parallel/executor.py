@@ -9,8 +9,8 @@ primitive both integrations share:
 - **work descriptors** — a :class:`Shard` is ``(kind, index, payload)``,
   picklable by construction; the *kind* names a registered worker
   function (see :func:`register_shard_kind`) and the heavy read-only
-  context travels once per worker through the pool initializer, not
-  once per shard;
+  context is published once per map through the shared-memory arena,
+  not shipped once per shard;
 - **serial fallback** — ``jobs=1`` (the default everywhere) runs the
   very same shard functions inline, in order, with no pool, no pickling
   and no behavioural difference: the parallel layer is a pure execution
@@ -36,11 +36,9 @@ primitive both integrations share:
   when the pool is injected by ``DepMiner`` or the service, across
   whole runs and requests), so daemon-style traffic stops paying pool
   spin-up per call (counter ``parallel.pool_reuse``, span
-  ``parallel.pool_build`` on builds/rebuilds).  The legacy
-  one-pool-per-map behaviour remains available as
-  ``pool_mode="ephemeral"``.
-- **zero-copy shared context** — the persistent path publishes each
-  map's heavy read-only context through a
+  ``parallel.pool_build`` on builds/rebuilds).
+- **zero-copy shared context** — every pooled map publishes its
+  heavy read-only context through a
   :class:`~repro.parallel.shm.SharedArrayArena` (counter
   ``parallel.shm_bytes``, span ``parallel.arena``): NumPy arrays map
   into workers zero-copy, large Python structures pickle once into a
@@ -109,6 +107,7 @@ __all__ = [
     "ShardedExecutor",
     "register_shard_kind",
     "resolve_jobs",
+    "resolve_shard_timeout",
     "resolve_start_method",
 ]
 
@@ -179,17 +178,12 @@ class ShardOutcome:
 #: Registered shard functions: ``kind -> fn(shared, payload, metrics)``.
 SHARD_KINDS: Dict[str, Callable[[Any, Any, MetricsRegistry], Any]] = {}
 
-#: When the arena cannot publish anything and the inline context is
-#: bigger than this, a persistent map falls back to the ephemeral path
-#: (one initializer pickle per worker beats one per task).
-_INLINE_CONTEXT_LIMIT = 256 * 1024
-
 
 def register_shard_kind(name: str):
     """Register a worker function under *name* (module-level, picklable).
 
     The function receives ``(shared, payload, metrics)``: the read-only
-    context shipped once per worker, the shard's own payload, and a
+    context decoded once per worker and map, the shard's own payload, and a
     shard-local :class:`~repro.obs.MetricsRegistry` — its counters and
     histogram summaries travel back through the result queue and the
     parent merges them, which is how worker-side work accounting flows
@@ -214,19 +208,14 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+def resolve_shard_timeout(timeout: Optional[float]) -> Optional[float]:
+    """Validate a per-shard timeout: positive seconds or ``None``."""
+    if timeout is not None and timeout <= 0:
+        raise ReproError("shard_timeout must be positive or None")
+    return timeout
+
+
 # -- worker side (module-level so 'spawn' contexts can pickle them) ----------
-
-_WORKER_SHARED: Any = None
-
-
-def _worker_init(shared: Any, fault_plan: Optional[Dict[str, Any]] = None) -> None:
-    global _WORKER_SHARED
-    _WORKER_SHARED = shared
-    if fault_plan is not None:
-        # The parent's active plan travels as a plain dict; the copy
-        # starts with fresh per-site call counters (one per process).
-        activate_plan(FaultPlan.from_dict(fault_plan))
-
 
 #: Persistent-pool workers have no per-map initializer, so each task
 #: carries a tiny context descriptor instead: a *generation* id (one
@@ -244,9 +233,9 @@ def _worker_shared_for(ctx: Dict[str, Any]) -> Any:
 
     First sight of a generation decodes the arena handles (attaching
     shared-memory segments zero-copy) and switches the process's fault
-    plan to the generation's — fresh per-site counters per map, the
-    same semantics the ephemeral pool's initializer had.  Later tasks
-    of the same generation hit the cache.
+    plan to the generation's — the parent's active plan travels as a
+    plain dict, so each map starts with fresh per-site call counters.
+    Later tasks of the same generation hit the cache.
     """
     global _WORKER_PLAN_GENERATION
     generation = ctx["generation"]
@@ -315,10 +304,6 @@ def _attempt_shard(shared: Any, shard: Shard, pool: bool) -> ShardOutcome:
             counters=_reliability_counters(local),
             retryable=not isinstance(exc, ReproError),
         )
-
-
-def _run_shard(shard: Shard) -> ShardOutcome:
-    return _attempt_shard(_WORKER_SHARED, shard, pool=True)
 
 
 def _run_shard_ctx(ctx: Dict[str, Any], shard: Shard) -> ShardOutcome:
@@ -509,18 +494,10 @@ class ShardedExecutor:
         on (``DepMiner`` and the service share one across runs and
         requests).  Default ``None``: the executor lazily builds its
         own on first pooled map and reuses it across its ``map()``
-        calls.  Worker counts must match ``jobs``.
-    pool_mode:
-        ``"persistent"`` (default) reuses the pool across maps and
-        ships context through the shared-memory arena;
-        ``"ephemeral"`` restores the legacy one-pool-per-map behaviour
-        (context via the pool initializer).
-    shm:
-        Shared-memory arena switch for the persistent path: ``None``
-        (auto) publishes large arrays/blobs whenever
-        :mod:`multiprocessing.shared_memory` is usable, ``False``
-        forces inline pickling, ``True`` insists on the arena where
-        available.  Results are identical either way.
+        calls.  Worker counts must match ``jobs``.  Every pooled map
+        publishes its large arrays/blobs through the shared-memory
+        arena when :mod:`multiprocessing.shared_memory` is usable and
+        ships them inline otherwise; results are identical either way.
     max_pending:
         Bound on in-flight shards (the result-queue budget); default
         ``2 × jobs``.
@@ -557,23 +534,12 @@ class ShardedExecutor:
                  poison_threshold: int = 8,
                  degrade: bool = True,
                  pool: Optional[PersistentPool] = None,
-                 pool_mode: str = "persistent",
-                 shm: Optional[bool] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  progress: Optional[ProgressCallback] = None):
         self.jobs = resolve_jobs(jobs)
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ReproError("shard_timeout must be positive or None")
-        self.shard_timeout = shard_timeout
+        self.shard_timeout = resolve_shard_timeout(shard_timeout)
         self.mp_context = resolve_start_method(mp_context)
-        if pool_mode not in ("persistent", "ephemeral"):
-            raise ReproError(
-                f"pool_mode must be 'persistent' or 'ephemeral'; "
-                f"got {pool_mode!r}"
-            )
-        self.pool_mode = pool_mode
-        self.shm = shm
         if pool is not None and pool.jobs != self.jobs:
             raise ReproError(
                 f"external pool has {pool.jobs} worker(s) but the "
@@ -617,10 +583,7 @@ class ShardedExecutor:
         (e.g. packing agree masks into a uint64 matrix) before calling
         :meth:`map`.
         """
-        return (not self.serial and not self._degraded
-                and self.pool_mode == "persistent"
-                and self.shm is not False
-                and shm_available())
+        return not self.serial and not self._degraded and shm_available()
 
     def _persistent_pool(self) -> PersistentPool:
         if self._pool is None or self._pool.closed:
@@ -709,31 +672,13 @@ class ShardedExecutor:
 
     # -- pool path ----------------------------------------------------------
 
-    def _pool_context(self):
-        import multiprocessing
-
-        method = self.mp_context
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        return multiprocessing.get_context(method)
-
-    def _map_pool(self, shards: List[Shard], shared: Any,
-                  stage: str) -> List[Any]:
-        if self.pool_mode == "ephemeral":
-            return self._map_pool_ephemeral(shards, shared, stage)
-        return self._map_pool_persistent(shards, shared, stage)
-
-    def _run_pooled(self, pool, task, shards: List[Shard],
+    def _run_pooled(self, pool, ctx: Dict[str, Any], shards: List[Shard],
                     stage: str):
-        """The windowed submit/collect loop both pool paths share.
+        """The windowed submit/collect loop of one pooled map.
 
-        *task* maps a shard to its ``(function, args)`` submission —
-        the ephemeral path ships bare shards (context sits in the
-        worker initializer), the persistent path prepends the
-        per-generation context descriptor.  Returns
-        ``(results, completed, done, degrade_reason)``; failures that
-        cannot degrade raise.
+        Every task carries the map's per-generation context descriptor
+        *ctx* next to its shard.  Returns ``(results, completed, done,
+        degrade_reason)``; failures that cannot degrade raise.
         """
         import multiprocessing
 
@@ -749,8 +694,9 @@ class ShardedExecutor:
 
         def submit(shard: Shard) -> None:
             attempts[shard.index] = attempts.get(shard.index, 0) + 1
-            function, args = task(shard)
-            pending.append((shard, pool.apply_async(function, args)))
+            pending.append(
+                (shard, pool.apply_async(_run_shard_ctx, (ctx, shard)))
+            )
 
         queue = iter(shards[window:])
         for shard in shards[:window]:
@@ -823,40 +769,9 @@ class ShardedExecutor:
                 break
         return results, completed, done, degrade_reason
 
-    def _map_pool_ephemeral(self, shards: List[Shard], shared: Any,
-                            stage: str) -> List[Any]:
-        """The legacy path: one pool per map, context via initializer."""
-        context = self._pool_context()
-        plan = current_plan()
-        pool = context.Pool(
-            processes=min(self.jobs, len(shards)), initializer=_worker_init,
-            initargs=(shared, plan.to_dict() if plan is not None else None),
-        )
-        try:
-            results, completed, done, degrade_reason = self._run_pooled(
-                pool, lambda shard: (_run_shard, (shard,)), shards, stage,
-            )
-            if degrade_reason is None:
-                pool.close()
-                pool.join()
-        except BaseException:
-            # Timeout, worker failure or cancellation (ProgressAborted):
-            # kill the remaining workers, don't leak the pool.
-            pool.terminate()
-            pool.join()
-            raise
-        if degrade_reason is not None:
-            pool.terminate()
-            pool.join()
-            return self._degrade_to_serial(
-                shards, shared, stage, results, completed, done,
-                degrade_reason,
-            )
-        return results
-
-    def _map_pool_persistent(self, shards: List[Shard], shared: Any,
-                             stage: str) -> List[Any]:
-        """The reuse path: shared pool + shared-memory arena context."""
+    def _map_pool(self, shards: List[Shard], shared: Any,
+                  stage: str) -> List[Any]:
+        """Run *shards* on the persistent pool, context via the arena."""
         ppool = self._persistent_pool()
         build_start = time.perf_counter()
         try:
@@ -883,7 +798,7 @@ class ShardedExecutor:
             )
         ppool.maps += 1
         plan = current_plan()
-        arena = SharedArrayArena(metrics=self.metrics, enabled=self.shm)
+        arena = SharedArrayArena(metrics=self.metrics)
         try:
             encode_start = time.perf_counter()
             encoded = arena.encode(shared)
@@ -894,14 +809,6 @@ class ShardedExecutor:
                     segments=arena.segments,
                     shm_bytes=arena.bytes_published,
                 )
-            if (not arena.segments
-                    and arena.inline_bytes > _INLINE_CONTEXT_LIMIT
-                    and len(shards) > self.jobs):
-                # The arena could not offload a heavy context (shm or
-                # NumPy unavailable, or shm=False): shipping it with
-                # every task would cost more than one legacy pool, so
-                # this map falls back to the initializer path.
-                return self._map_pool_ephemeral(shards, shared, stage)
             ctx = {
                 "generation": uuid.uuid4().hex,
                 "shared": encoded,
@@ -909,8 +816,7 @@ class ShardedExecutor:
             }
             try:
                 results, completed, done, degrade_reason = self._run_pooled(
-                    pool, lambda shard: (_run_shard_ctx, (ctx, shard)),
-                    shards, stage,
+                    pool, ctx, shards, stage,
                 )
             except BaseException:
                 # Timeout, non-degradable failure or cancellation: the

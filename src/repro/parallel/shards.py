@@ -38,14 +38,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.agree_sets import (
     build_class_index_tables,
+    check_agree_options,
     empty_agree_set_present,
     iter_distinct_couples,
     resolve_couples_with_identifiers,
     resolve_couples_with_tables,
 )
 from repro.core.attributes import Schema
+from repro.core.lhs import check_transversal_options
 from repro.core.maximal_sets import maximal_sets_for_attribute
-from repro.errors import ReproError
 from repro.obs import get_logger
 from repro.parallel import shm
 from repro.parallel.executor import ShardedExecutor, register_shard_kind
@@ -181,23 +182,13 @@ def parallel_agree_sets(spdb: StrippedPartitionDatabase,
     (Algorithm 2; workers get the row → class-index tables) or
     ``"identifiers"`` (Algorithm 3; workers get the identifier maps).
     """
+    check_agree_options(algorithm, max_couples)
     if algorithm == "couples":
-        if max_couples is not None and max_couples < 1:
-            raise ReproError("max_couples must be a positive integer or None")
         kind = "agree.couples"
         shared = {"class_of": build_class_index_tables(spdb)}
-    elif algorithm == "identifiers":
-        if max_couples is not None:
-            raise ReproError(
-                "max_couples only applies to the 'couples' algorithm"
-            )
+    else:
         kind = "agree.identifiers"
         shared = {"identifiers": spdb.equivalence_class_identifiers()}
-    else:
-        raise ReproError(
-            f"the parallel agree-set path supports 'couples' and "
-            f"'identifiers'; got {algorithm!r}"
-        )
 
     couples = list(iter_distinct_couples(spdb, mc))
     visited = len(couples)
@@ -268,13 +259,7 @@ def parallel_cmax_lhs(agree, schema: Schema,
     phases, reassembled in schema order regardless of which worker
     finished first.
     """
-    if max_size is not None and method not in (
-        "levelwise", "kernel", "vectorized"
-    ):
-        raise ReproError(
-            "max_size is only supported by the levelwise, kernel and "
-            "vectorized methods"
-        )
+    check_transversal_options(method, max_size)
     agree_sorted = sorted(agree)
     shared = {
         "width": len(schema),

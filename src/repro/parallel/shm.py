@@ -3,11 +3,9 @@
 Every pooled ``ShardedExecutor.map()`` ships a *shared* context to its
 workers — the columnar ``ec(t)`` class-identifier matrix and couple
 index arrays, the row → class-index tables, the sorted agree-set masks.
-With the legacy per-call pool that context travels through the pool
-initializer as one pickle per worker; with the persistent pool (which
-has no per-map initializer) it would otherwise travel as one pickle per
-*task*.  :class:`SharedArrayArena` removes both costs for the heavy
-payloads:
+The persistent pool has no per-map initializer, so that context would
+otherwise travel as one pickle per *task*.  :class:`SharedArrayArena`
+removes that cost for the heavy payloads:
 
 - **NumPy arrays** at or above :data:`ARRAY_THRESHOLD_BYTES` are copied
   once into a :class:`multiprocessing.shared_memory.SharedMemory`
@@ -243,29 +241,21 @@ class SharedArrayArena:
     metrics:
         Counter sink; every published segment adds its size to
         ``parallel.shm_bytes``.
-    enabled:
-        ``None`` (auto) uses shared memory whenever available; ``False``
-        forces the inline path (classic pickling) regardless.
     array_threshold / blob_threshold:
         Size floors below which values ship inline.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 enabled: Optional[bool] = None,
                  array_threshold: int = ARRAY_THRESHOLD_BYTES,
                  blob_threshold: int = BLOB_THRESHOLD_BYTES):
         self.metrics = metrics
-        self.enabled = shm_available() if enabled is None else (
-            bool(enabled) and shm_available()
-        )
+        #: Publishes whenever shared memory is usable; a failed segment
+        #: creation switches the rest of this arena to inline shipping.
+        self.enabled = shm_available()
         self.array_threshold = array_threshold
         self.blob_threshold = blob_threshold
         self.segments = 0
         self.bytes_published = 0
-        #: Approximate pickled bytes that will ship inline *per task*
-        #: (large values that could not be published); executors use it
-        #: to bail out to the ephemeral path when shm is unavailable.
-        self.inline_bytes = 0
         self._owned: List[Any] = []
         self._finalizer = weakref.finalize(
             self, _release_segments, self._owned
@@ -295,15 +285,12 @@ class SharedArrayArena:
                 handle = self._publish_array(value)
                 if handle is not None:
                     return (key, "array", handle)
-            self.inline_bytes += value.nbytes
             return (key, "inline", value)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(payload) >= self.blob_threshold:
-            if self.enabled:
-                handle = self._publish_blob(payload)
-                if handle is not None:
-                    return (key, "blob", handle)
-            self.inline_bytes += len(payload)
+        if len(payload) >= self.blob_threshold and self.enabled:
+            handle = self._publish_blob(payload)
+            if handle is not None:
+                return (key, "blob", handle)
         return (key, "inline", value)
 
     def _new_segment(self, size: int):

@@ -77,16 +77,17 @@ def cmax_from_lhs(lhs_sets: Dict[int, List[int]], width: int,
 
 
 def tane_with_armstrong(relation: Relation, epsilon: float = 0.0,
-                        transversal_method: str = "levelwise",
                         tracer=None, metrics=None,
                         progress=None) -> TaneArmstrongResult:
     """Run TANE, then derive maximal sets and build Armstrong relations.
 
-    The real-world relation is built when Proposition 1 allows it
-    (``armstrong`` is ``None`` otherwise); the classical integer-valued
-    relation is always built.  *tracer*/*metrics*/*progress* are
-    forwarded to :class:`~repro.tane.tane.Tane`; the extension itself
-    runs inside a ``tane.armstrong_extension`` span.
+    ``cmax`` comes back from the lhs families through the levelwise
+    transversal search.  The real-world relation is built when
+    Proposition 1 allows it (``armstrong`` is ``None`` otherwise); the
+    classical integer-valued relation is always built.
+    *tracer*/*metrics*/*progress* are forwarded to
+    :class:`~repro.tane.tane.Tane`; the extension itself runs inside a
+    ``tane.armstrong_extension`` span.
     """
     from repro.obs import NULL_TRACER
 
@@ -99,7 +100,7 @@ def tane_with_armstrong(relation: Relation, epsilon: float = 0.0,
         schema = tane_result.schema
         universe = schema.universe_mask
         lhs_sets = tane_result.lhs_sets()
-        cmax = cmax_from_lhs(lhs_sets, len(schema), method=transversal_method)
+        cmax = cmax_from_lhs(lhs_sets, len(schema))
         max_sets = {
             attribute: sorted(universe & ~edge for edge in edges)
             for attribute, edges in cmax.items()

@@ -182,10 +182,24 @@ class TestOverlappingMaximalClasses:
         assert len(couples) == len(set(couples)) == 5
 
 
+def columnar_agree(relation):
+    """``ag(r)`` through the columnar backend's vectorized agree step."""
+    from repro.columnar.agree import columnar_agree_sets
+    from repro.columnar.encode import encode_relation
+    from repro.columnar.grouping import class_matrix
+
+    return columnar_agree_sets(class_matrix(encode_relation(relation)))
+
+
 class TestVectorized:
-    def test_dispatcher_accepts_vectorized(self, paper_relation):
+    """The vectorized agree step is the columnar backend's
+    (``candidate_couples`` + ``resolve_couples``); the row-wise
+    dispatcher offers only the paper's two algorithms."""
+
+    def test_dispatcher_rejects_vectorized(self, paper_relation):
         spdb = spdb_of(paper_relation)
-        assert agree_sets(spdb, "vectorized") == agree_sets(spdb, "couples")
+        with pytest.raises(ReproError, match="unknown agree-set algorithm"):
+            agree_sets(spdb, "vectorized")
 
     def test_matches_naive_on_structured_data(self):
         schema = Schema.of_width(3)
@@ -193,8 +207,7 @@ class TestVectorized:
             schema,
             [(1, "p", 0), (1, "p", 1), (1, "q", 0), (2, "q", 1)],
         )
-        spdb = spdb_of(relation)
-        assert agree_sets(spdb, "vectorized") == naive_agree_sets(relation)
+        assert columnar_agree(relation) == naive_agree_sets(relation)
 
     def test_wide_schema_multi_lane(self):
         import random
@@ -208,31 +221,30 @@ class TestVectorized:
                 for _ in range(10)
             ],
         )
-        spdb = spdb_of(relation)
-        assert agree_sets(spdb, "vectorized") == naive_agree_sets(relation)
+        assert columnar_agree(relation) == naive_agree_sets(relation)
 
     def test_empty_and_single_row(self):
         schema = Schema.of_width(2)
         for rows in ([], [(1, 2)]):
-            spdb = spdb_of(Relation.from_rows(schema, rows))
-            assert agree_sets(spdb, "vectorized") == set()
+            relation = Relation.from_rows(schema, rows)
+            assert columnar_agree(relation) == set()
 
     def test_empty_agree_set_detected(self):
         schema = Schema.of_width(2)
         relation = Relation.from_rows(schema, [(1, 1), (1, 2), (9, 9)])
-        spdb = spdb_of(relation)
-        assert 0 in agree_sets(spdb, "vectorized")
+        assert 0 in columnar_agree(relation)
 
-    def test_max_couples_rejected(self, paper_relation):
-        spdb = spdb_of(paper_relation)
+    def test_max_couples_rejected(self):
+        from repro.core.depminer import DepMiner
+
         with pytest.raises(ReproError, match="max_couples"):
-            agree_sets(spdb, "vectorized", max_couples=5)
+            DepMiner(backend="columnar", max_couples=5)
 
     def test_depminer_option(self, paper_relation):
         from repro.core.depminer import DepMiner, discover_fds
 
         fast = DepMiner(
-            build_armstrong="none", agree_algorithm="vectorized"
+            build_armstrong="none", backend="columnar"
         ).run(paper_relation)
         assert fast.fds == discover_fds(paper_relation)
         assert fast.stats["num_couples"] == 6

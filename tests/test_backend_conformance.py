@@ -64,19 +64,17 @@ class TestWideLaneBoundary:
         relation = wide_lane_boundary_relation()
         assert_backend_grid_agrees(relation)
 
-    def test_shm_and_pool_mode_grid_agrees(self):
-        """backend × shm on/off × pool persistent/ephemeral, jobs=2.
+    def test_shm_off_grid_agrees(self):
+        """backend × shared memory auto/off, jobs=2.
 
-        The zero-copy dispatch dimensions of the tentpole: forcing the
-        shared-memory arena on (or off) and swapping the persistent
-        pool for a per-map one must never change a single bit of the
-        cover.  Cache cells are skipped — warm replay is orthogonal to
-        how shards travel."""
+        Switching the shared-memory arena off ships every shard context
+        inline with its task; that must never change a single bit of
+        the cover.  Cache cells are skipped — warm replay is orthogonal
+        to how shards travel."""
         relation = wide_lane_boundary_relation()
         assert_backend_grid_agrees(
             relation, jobs_values=(2,), cache_values=(False,),
-            shm_values=(False, True),
-            pool_modes=("persistent", "ephemeral"),
+            shm_values=(True, False),
         )
 
     @needs_numpy

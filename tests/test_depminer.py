@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.columnar import numpy_available
 from repro.core.attributes import Schema
 from repro.core.depminer import DepMiner, discover, discover_fds
 from repro.core.relation import Relation
@@ -11,20 +14,53 @@ from repro.errors import ArmstrongExistenceError, ReproError
 from repro.partitions.database import StrippedPartitionDatabase
 
 
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="columnar backend needs NumPy"
+)
+
+#: ``(DepMiner keywords, error fragment)``: every option a backend
+#: cannot honour is rejected by the constructor, before any work runs.
+BAD_OPTIONS = [
+    pytest.param({"backend": "columnar", "agree_algorithm": "bogus"},
+                 "unknown agree-set algorithm", id="columnar-unknown-agree",
+                 marks=needs_numpy),
+    pytest.param({"backend": "columnar", "agree_algorithm": "identifiers"},
+                 "agree_algorithm='couples'", id="columnar-identifiers",
+                 marks=needs_numpy),
+    pytest.param({"backend": "columnar", "max_couples": 1},
+                 "max_couples", id="columnar-max-couples",
+                 marks=needs_numpy),
+    pytest.param({"agree_algorithm": "wrong"},
+                 "unknown agree-set algorithm", id="unknown-agree"),
+    pytest.param({"transversal_algorithm": "wrong"},
+                 "unknown transversal method", id="unknown-transversal"),
+    pytest.param({"max_couples": 0},
+                 "max_couples must be a positive integer",
+                 id="max-couples-zero"),
+    pytest.param({"agree_algorithm": "identifiers", "max_couples": 10},
+                 "only applies to the 'couples' algorithm",
+                 id="max-couples-identifiers"),
+    pytest.param({"max_lhs_size": 0},
+                 "max_size must be a positive integer", id="max-lhs-zero"),
+    pytest.param({"transversal_algorithm": "berge", "max_lhs_size": 2},
+                 "only supported by the levelwise", id="max-lhs-berge"),
+    pytest.param({"jobs": 2, "shard_timeout": 0},
+                 "shard_timeout must be positive", id="shard-timeout-zero"),
+    pytest.param({"shard_timeout": -1},
+                 "shard_timeout must be positive",
+                 id="shard-timeout-negative-serial"),
+]
+
+
 class TestConfiguration:
     def test_rejects_unknown_armstrong_mode(self):
         with pytest.raises(ReproError, match="build_armstrong"):
             DepMiner(build_armstrong="maybe")
 
-    def test_rejects_unknown_agree_algorithm_at_run_time(self, paper_relation):
-        miner = DepMiner(agree_algorithm="wrong")
-        with pytest.raises(ReproError, match="unknown agree-set algorithm"):
-            miner.run(paper_relation)
-
-    def test_rejects_unknown_transversal_method(self, paper_relation):
-        miner = DepMiner(transversal_method="wrong")
-        with pytest.raises(ReproError, match="unknown transversal method"):
-            miner.run(paper_relation)
+    @pytest.mark.parametrize("options,message", BAD_OPTIONS)
+    def test_rejects_bad_option_at_construction(self, options, message):
+        with pytest.raises(ReproError, match=re.escape(message)):
+            DepMiner(**options)
 
 
 class TestResultContents:

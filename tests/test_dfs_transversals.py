@@ -1,4 +1,4 @@
-"""Unit tests for the FastFDs-style DFS transversal search."""
+"""Unit tests for the FastFDs-style DFS transversal search (a test oracle)."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import random
 import pytest
 
 from repro.errors import ReproError
-from repro.hypergraph.dfs import minimal_transversals_dfs
 from repro.hypergraph.hypergraph import minimize_sets
 from repro.hypergraph.transversals import (
     minimal_transversals,
     minimal_transversals_levelwise,
 )
+from tests.dfs import minimal_transversals_dfs
 
 
 class TestDfs:
@@ -42,19 +42,21 @@ class TestDfs:
         assert minimal_transversals_dfs(edges, num_vertices) == \
             minimal_transversals_levelwise(edges, num_vertices)
 
-    def test_available_through_dispatcher(self):
-        edges = [0b011, 0b101]
-        assert minimal_transversals(edges, 3, method="dfs") == \
-            minimal_transversals(edges, 3, method="levelwise")
+    def test_not_offered_by_dispatcher(self):
+        with pytest.raises(ReproError, match="unknown transversal method"):
+            minimal_transversals([0b011, 0b101], 3, method="dfs")
 
 
 class TestDfsInDepMiner:
     def test_full_pipeline_with_dfs_method(self, paper_relation):
         from repro.core.depminer import DepMiner
 
-        levelwise = DepMiner(transversal_method="levelwise").run(
+        levelwise = DepMiner(transversal_algorithm="levelwise").run(
             paper_relation
         )
-        dfs = DepMiner(transversal_method="dfs").run(paper_relation)
-        assert dfs.fds == levelwise.fds
-        assert dfs.lhs_sets == levelwise.lhs_sets
+        width = len(paper_relation.schema)
+        dfs = {
+            attribute: minimal_transversals_dfs(edges, width)
+            for attribute, edges in levelwise.cmax_sets.items()
+        }
+        assert dfs == levelwise.lhs_sets

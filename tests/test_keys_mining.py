@@ -91,7 +91,7 @@ class TestDiscoverKeys:
             sorted(k.mask for k in theoretic)
 
     def test_method_dispatch(self, paper_relation):
-        for method in ("levelwise", "berge", "dfs"):
+        for method in ("levelwise", "berge"):
             keys = discover_keys(paper_relation, method=method)
             assert [k.mask for k in keys] == brute_force_keys(paper_relation)
 

@@ -51,13 +51,12 @@ class TestDepMinerCap:
         ).run(paper_relation).fds
         assert capped == full
 
-    def test_cap_requires_levelwise(self, paper_relation):
-        miner = DepMiner(
-            build_armstrong="none", transversal_method="dfs",
-            max_lhs_size=2,
-        )
+    def test_cap_requires_levelwise(self):
         with pytest.raises(ReproError, match="levelwise"):
-            miner.run(paper_relation)
+            DepMiner(
+                build_armstrong="none", transversal_algorithm="berge",
+                max_lhs_size=2,
+            )
 
     def test_wide_schema_completes_quickly_with_cap(self):
         """The uncapped 70-attribute correlated case explodes at deep

@@ -217,8 +217,7 @@ class TestDifferentialJobs:
         assert_identical_results(BUNDLED[dataset](), jobs)
 
     @pytest.mark.parametrize("jobs", JOBS_GRID)
-    @pytest.mark.parametrize("algorithm", ["couples", "identifiers",
-                                           "vectorized"])
+    @pytest.mark.parametrize("algorithm", ["couples", "identifiers"])
     def test_every_agree_algorithm(self, algorithm, jobs):
         assert_identical_results(
             paper_example_relation(), jobs, agree_algorithm=algorithm
@@ -241,9 +240,9 @@ class TestDifferentialJobs:
 
     @pytest.mark.parametrize("jobs", JOBS_GRID)
     def test_transversal_methods(self, jobs):
-        for method in ("levelwise", "berge", "dfs"):
+        for method in ("levelwise", "berge"):
             assert_identical_results(
-                paper_example_relation(), jobs, transversal_method=method,
+                paper_example_relation(), jobs, transversal_algorithm=method,
                 build_armstrong="none",
             )
 

@@ -185,8 +185,7 @@ class TestArenaCleanup:
 
     def test_no_leak_across_a_full_mining_run(self):
         before = _leaked_segments()
-        miner = DepMiner(jobs=2, backend="columnar", shm=True,
-                         build_armstrong="none")
+        miner = DepMiner(jobs=2, backend="columnar", build_armstrong="none")
         miner.run(paper_example_relation())
         miner.close()
         assert _leaked_segments() <= before
@@ -195,10 +194,10 @@ class TestArenaCleanup:
 class TestDispatchFallbacks:
     """No NumPy / no shared_memory -> pickled dispatch, same cover."""
 
-    def _covers_match(self, **miner_kwargs):
+    def _covers_match(self):
         relation = paper_example_relation()
         serial = DepMiner(build_armstrong="none").run(relation).fds
-        miner = DepMiner(jobs=2, build_armstrong="none", **miner_kwargs)
+        miner = DepMiner(jobs=2, build_armstrong="none")
         parallel = miner.run(relation).fds
         miner.close()
         assert {(fd.lhs.mask, fd.rhs_mask) for fd in serial} == {
@@ -208,16 +207,17 @@ class TestDispatchFallbacks:
     def test_numpy_absent_falls_back_to_pickle(self, monkeypatch):
         monkeypatch.setattr(shm_module, "_np", None)
         assert not shm_module.numpy_available()
-        self._covers_match(shm=True)
+        self._covers_match()
 
     def test_shared_memory_absent_falls_back_to_pickle(self, monkeypatch):
         monkeypatch.setattr(shm_module, "_shm", None)
         assert not shm_available()
-        self._covers_match(shm=True)
+        self._covers_match()
 
-    def test_shm_disabled_executor_publishes_nothing(self):
+    def test_shm_disabled_executor_publishes_nothing(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "_shm", None)
         metrics = MetricsRegistry()
-        executor = ShardedExecutor(jobs=2, shm=False, metrics=metrics)
+        executor = ShardedExecutor(jobs=2, metrics=metrics)
         assert not executor.shm_active
         assert executor.map("lifecycle.square", [2, 3]) == [4, 9]
         executor.close()

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.columnar import numpy_available
 from repro.core.depminer import DepMiner
 from repro.core.relation import Relation, Schema
 from repro.service import (
@@ -181,13 +182,21 @@ class TestErrorDocuments:
                             rows=[[1, 2], [3]])  # ragged
         assert excinfo.value.status == 400
 
-    def test_unknown_option_is_400(self, service):
+    @pytest.mark.parametrize("options,named", [
+        pytest.param({"turbo": True}, "turbo", id="unknown-key"),
+        pytest.param({"backend": "columnar", "algorithm": "identifiers"},
+                     "identifiers", id="columnar-identifiers",
+                     marks=pytest.mark.skipif(
+                         not numpy_available(),
+                         reason="columnar backend needs NumPy")),
+    ])
+    def test_unknown_option_is_400(self, service, options, named):
         _, client = service()
         with pytest.raises(RemoteServiceError) as excinfo:
             client.register("bad", attributes=ATTRIBUTES, rows=ROWS,
-                            options={"turbo": True})
+                            options=options)
         assert excinfo.value.status == 400
-        assert "turbo" in str(excinfo.value)
+        assert named in str(excinfo.value)
 
     def test_injected_storage_fault_is_structured(self, service,
                                                   tmp_path):

@@ -3,13 +3,12 @@
 The central contract: the kernel (with or without the vectorized
 backend, with or without the reduction pass) is extensionally identical
 to the paper's levelwise Algorithm 5, Berge's sequential method and the
-FastFDs-style DFS — on arbitrary simple hypergraphs, under ``max_size``
-truncation, and end-to-end through ``DepMiner`` at any ``jobs`` value.
+FastFDs-style DFS test oracle (:mod:`tests.dfs`) — on arbitrary simple
+hypergraphs, under ``max_size`` truncation, and end-to-end through
+``DepMiner`` at any ``jobs`` value.
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.depminer import DepMiner
 from repro.datagen.synthetic import generate_relation
 from repro.errors import ReproError
-from repro.hypergraph.dfs import minimal_transversals_dfs
 from repro.hypergraph.hypergraph import minimize_sets
 from repro.hypergraph import kernel as kernel_module
 from repro.hypergraph.kernel import (
@@ -31,6 +29,7 @@ from repro.hypergraph.transversals import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from tests.dfs import minimal_transversals_dfs
 
 
 @st.composite
@@ -216,7 +215,7 @@ class TestReductionObservability:
 
 
 class TestDepMinerWiring:
-    ALGORITHMS = ("kernel", "vectorized", "levelwise", "berge", "dfs")
+    ALGORITHMS = ("kernel", "vectorized", "levelwise", "berge")
 
     @pytest.fixture(scope="class")
     def relation(self):
@@ -227,22 +226,6 @@ class TestDepMinerWiring:
 
     def test_default_algorithm_is_the_kernel(self):
         assert DepMiner().transversal_algorithm == "kernel"
-        assert DepMiner().transversal_method == "kernel"
-
-    def test_alias_and_conflict(self):
-        assert DepMiner(
-            transversal_method="berge"
-        ).transversal_algorithm == "berge"
-        assert DepMiner(
-            transversal_algorithm="dfs"
-        ).transversal_method == "dfs"
-        with pytest.raises(ReproError, match="conflict"):
-            DepMiner(transversal_method="berge",
-                     transversal_algorithm="dfs")
-        # Agreeing values are accepted.
-        assert DepMiner(
-            transversal_method="kernel", transversal_algorithm="kernel"
-        ).transversal_method == "kernel"
 
     def test_identical_covers_across_all_algorithms(self, relation):
         covers = {
@@ -293,15 +276,3 @@ class TestNumpyAbsence:
             edges, 4, backend="vectorized"
         ) == expected
         assert kernel_module._warned_numpy_missing
-
-    def test_vectorized_agree_raises_a_typed_error(self, monkeypatch,
-                                                   paper_relation):
-        from repro.core.agree_sets import agree_sets
-        from repro.partitions.database import StrippedPartitionDatabase
-
-        spdb = StrippedPartitionDatabase.from_relation(paper_relation)
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.delitem(sys.modules, "repro.core.agree_fast",
-                            raising=False)
-        with pytest.raises(ReproError, match="NumPy"):
-            agree_sets(spdb, algorithm="vectorized")
