@@ -19,8 +19,10 @@ of the tentpole work — CSV→cover ≥ 3× over the materializing path —
 and that covers *and* Armstrong relations stay bit-identical across
 ingest paths × backends × jobs on a smaller mixed-type conformance
 CSV, including a warm-cache replay served without ever materializing
-the ``Relation``.  Timings are min-of-repeats over the same on-disk
-file.
+the ``Relation``.  Timings are min-of-rounds over the same on-disk
+file: at least ``repeats`` interleaved rounds, and more until each
+path has :data:`MIN_SAMPLE_SECONDS` of samples (three sub-second runs
+alone let one stall decide the ratio).
 
 The workload is environment-parameterised::
 
@@ -49,6 +51,10 @@ from repro.storage.csv_io import relation_from_csv
 ATTRS = int(os.environ.get("REPRO_BENCH_INGEST_ATTRS", "30"))
 ROWS = int(os.environ.get("REPRO_BENCH_INGEST_ROWS", "16000"))
 REPEATS = int(os.environ.get("REPRO_BENCH_INGEST_REPEATS", "3"))
+
+#: ``measure`` keeps adding rounds past ``repeats`` until every
+#: path's samples sum to at least this many seconds.
+MIN_SAMPLE_SECONDS = 2.0
 
 MIN_INGEST_SPEEDUP = 3.0
 
@@ -129,19 +135,26 @@ def _mine(source, **options):
 
 
 def measure(repeats: int = REPEATS) -> Dict[str, object]:
-    """Min-of-*repeats* CSV→cover seconds per ingest path (memoized)."""
+    """Min-of-rounds CSV→cover seconds per ingest path (memoized).
+
+    At least *repeats* interleaved rounds, and more until every path
+    has :data:`MIN_SAMPLE_SECONDS` of samples.
+    """
     cached = _MEASURED.get(repeats)
     if cached is not None:
         return cached
     path = workload_csv()
     best = {name: float("inf") for name in PATHS}
+    spent = {name: 0.0 for name in PATHS}
     covers: Dict[str, List[tuple]] = {}
-    for _ in range(repeats):
+    rounds = 0
+    while rounds < repeats or min(spent.values()) < MIN_SAMPLE_SECONDS:
         start = time.perf_counter()
         relation = relation_from_csv(path)
         result = _mine(relation)
         seconds = time.perf_counter() - start
         best["legacy"] = min(best["legacy"], seconds)
+        spent["legacy"] += seconds
         covers["legacy"] = _canonical_cover(result)
 
         start = time.perf_counter()
@@ -149,9 +162,11 @@ def measure(repeats: int = REPEATS) -> Dict[str, object]:
         result = _mine(coded)
         seconds = time.perf_counter() - start
         best["streaming"] = min(best["streaming"], seconds)
+        spent["streaming"] += seconds
         covers["streaming"] = _canonical_cover(result)
         assert not coded.materialized, \
             "streaming mine must not build the Relation"
+        rounds += 1
     outcome = {
         "seconds": best,
         "covers": covers,

@@ -14,13 +14,15 @@ by the array primitives of this package:
   (``columnar.resolve``); with ``jobs > 1`` the couple arrays are
   sliced into ranges and resolved by the sharded executor
   (:func:`repro.parallel.shards.parallel_columnar_couples`);
-- ``cmax`` — :func:`~repro.columnar.cmax.maximal_sets_packed` on the
-  lane-packed masks (serial path; the ``jobs > 1`` path reuses the
-  fused per-RHS ``parallel_cmax_lhs`` tail of the Python backend);
-- ``lhs`` — the existing transversal search; the default ``"kernel"``
-  algorithm is resolved to the kernel's lane-packed ``"vectorized"``
-  backend (explicit choices are honoured unchanged);
-- ``fd_output`` / ``armstrong`` — shared with the Python path verbatim.
+- ``cmax`` / ``lhs`` / ``fd_output`` — ``DepMiner._complete``, the
+  steps 2–4 tail both backends share: on this backend its serial
+  ``cmax`` is :func:`~repro.columnar.cmax.maximal_sets_packed` on the
+  lane-packed masks (the ``jobs > 1`` path is the fused per-RHS
+  ``parallel_cmax_lhs`` tail), and ``lhs`` runs the miner's
+  ``transversal_algorithm`` as given — the pure kernel by default, the
+  NumPy ``"vectorized"`` lanes only when named;
+- ``armstrong`` — the vectorized constructions of
+  :mod:`repro.columnar.armstrong`.
 
 Caching mirrors ``DepMiner._run_cached``: cover bundle first, then
 ``ag(r)``, then a cold run; the ``backend`` participates in the agree
@@ -36,33 +38,14 @@ from typing import Dict, Optional
 
 from repro.columnar import require_numpy
 from repro.columnar.agree import candidate_couples, resolve_couples
-from repro.columnar.cmax import maximal_sets_packed
 from repro.columnar.encode import encode_relation
 from repro.columnar.grouping import class_matrix, num_stripped_classes
-from repro.core.lhs import fd_output, left_hand_sides
 from repro.core.relation import Relation
 from repro.obs import MetricsRegistry, Tracer, get_logger
 
-__all__ = ["run_columnar", "resolved_transversal_algorithm"]
+__all__ = ["run_columnar"]
 
 logger = get_logger(__name__)
-
-#: Sentinel distinguishing "no executor created yet" from "serial run".
-_UNSET = object()
-
-
-def resolved_transversal_algorithm(miner) -> str:
-    """The transversal algorithm the columnar backend actually runs.
-
-    The default ``"kernel"`` choice becomes the kernel's lane-packed
-    ``"vectorized"`` backend — the cmax stage already produces packed
-    bitmask families, so they feed straight into the NumPy kernel.  Any
-    explicitly chosen algorithm (``levelwise``, ``berge``, …) is
-    honoured unchanged; every algorithm yields the identical cover.
-    """
-    if miner.transversal_algorithm == "kernel":
-        return "vectorized"
-    return miner.transversal_algorithm
 
 
 def run_columnar(miner, relation, tracer: Tracer,
@@ -122,9 +105,10 @@ def run_columnar(miner, relation, tracer: Tracer,
         if entry is not None:
             agree, stats = unpack_agree(entry)
             metrics.gauge("agree.sets", len(agree))
-            return _complete(
-                miner, agree, schema, num_rows, relation, stats, tracer,
-                metrics, mark, keys, guard,
+            return miner._complete(
+                agree, schema, num_rows, relation, stats, tracer, metrics,
+                miner._make_executor(tracer, metrics), mark,
+                _keys=keys, _guard=guard,
             )
 
     with tracer.span("strip", phase=True, backend="columnar") as strip_span:
@@ -183,66 +167,8 @@ def run_columnar(miner, relation, tracer: Tracer,
             "agree", keys.agree, guard, pack_agree(agree, stats),
             metrics=metrics,
         )
-    return _complete(
-        miner, agree, schema, num_rows, relation, stats, tracer, metrics,
-        mark, keys, guard, executor=executor,
+    return miner._complete(
+        agree, schema, num_rows, relation, stats, tracer, metrics,
+        executor, mark, _keys=keys, _guard=guard,
     )
 
-
-def _complete(miner, agree, schema, num_rows, relation, stats,
-              tracer: Tracer, metrics: MetricsRegistry, mark: int,
-              keys, guard, executor=_UNSET):
-    """Steps 2–4 of the columnar run, plus the cover write-back."""
-    if executor is _UNSET:
-        executor = miner._make_executor(tracer, metrics)
-    method = resolved_transversal_algorithm(miner)
-    if executor is not None:
-        from repro.parallel.shards import parallel_cmax_lhs
-
-        with tracer.span("cmax", phase=True, jobs=miner.jobs):
-            agree_list = sorted(agree)
-        with tracer.span("lhs", phase=True, method=method, jobs=miner.jobs,
-                         fused_cmax=True) as lhs_span:
-            max_sets, cmax, lhs_sets = parallel_cmax_lhs(
-                agree_list, schema, executor, method=method,
-                max_size=miner.max_lhs_size,
-            )
-            metrics.gauge(
-                "cmax.edges", sum(len(edges) for edges in cmax.values())
-            )
-    else:
-        with tracer.span("cmax", phase=True, backend="columnar"):
-            max_sets, cmax = maximal_sets_packed(agree, schema)
-            metrics.gauge(
-                "cmax.edges", sum(len(edges) for edges in cmax.values())
-            )
-        with tracer.span("lhs", phase=True, method=method) as lhs_span:
-            lhs_sets = left_hand_sides(
-                cmax, schema, method=method, max_size=miner.max_lhs_size,
-                metrics=metrics, progress=miner.progress, tracer=tracer,
-            )
-    logger.debug(
-        "columnar lhs families computed via %s (%.3fs)",
-        method, lhs_span.duration,
-    )
-
-    with tracer.span("fd_output", phase=True):
-        fds = fd_output(lhs_sets, schema)
-        metrics.gauge("fd.count", len(fds))
-    logger.info(
-        "mined %d minimal FDs over %d attributes and %d rows "
-        "(columnar backend)", len(fds), len(schema), num_rows,
-    )
-
-    if keys is not None and miner.cache is not None:
-        from repro.cache.artifacts import pack_cover
-
-        miner.cache.put(
-            "cover", keys.cover, guard,
-            pack_cover(agree, max_sets, cmax, lhs_sets, fds, stats),
-            metrics=metrics,
-        )
-    return miner._finalize(
-        agree, max_sets, cmax, lhs_sets, fds, schema, num_rows, relation,
-        stats, tracer, metrics, mark,
-    )

@@ -158,14 +158,15 @@ class DepMiner:
         Memory threshold for the couples algorithm (chunked processing);
         ``None`` keeps every couple in memory.
     transversal_algorithm:
-        ``"kernel"`` (the default: the reduction + incremental-coverage
-        kernel of :mod:`repro.hypergraph.kernel`), ``"vectorized"`` (the
-        same kernel with the NumPy lane-packed batch backend, falling
-        back to the pure kernel when NumPy is missing — install the
-        ``repro[fast]`` extra), ``"levelwise"`` (the paper's Algorithm 5
-        verbatim — pick this to reproduce the paper's exact search) or
-        ``"berge"`` (sequential baseline).  Every algorithm produces
-        bit-for-bit the same FD cover; they differ only in speed.
+        ``"kernel"`` (the default on both backends: the reduction +
+        incremental-coverage kernel of :mod:`repro.hypergraph.kernel`),
+        ``"vectorized"`` (the same kernel with the NumPy lane-packed
+        batch backend, slower on every measured cmax family; it falls
+        back to the pure kernel when NumPy is missing), ``"levelwise"``
+        (the paper's Algorithm 5 verbatim — pick this to reproduce the
+        paper's exact search) or ``"berge"`` (sequential baseline).
+        Every algorithm produces bit-for-bit the same FD cover; they
+        differ only in speed.
     build_armstrong:
         Whether step 5 runs.  ``"real-world"`` (default) builds the
         value-preserving relation when Proposition 1 allows it and falls
@@ -238,12 +239,12 @@ class DepMiner:
         (the oracle-conformance suite asserts it; see
         ``docs/columnar.md``).  The columnar backend resolves couples
         with its own vectorized agree step, so it accepts only
-        ``agree_algorithm="couples"`` and no ``max_couples``; it
-        resolves the default ``"kernel"`` transversal algorithm to the
-        kernel's NumPy ``"vectorized"`` backend.  When NumPy is missing
-        the miner logs a warning and falls back to ``"python"``;
-        :func:`repro.columnar.require_numpy` is the strict, typed
-        (:class:`repro.columnar.ColumnarUnavailableError`) probe.
+        ``agree_algorithm="couples"`` and no ``max_couples``; its
+        transversal search is the Python backend's.  When NumPy is
+        missing the miner logs a warning and falls back to
+        ``"python"``; :func:`repro.columnar.require_numpy` is the
+        strict, typed (:class:`repro.columnar.ColumnarUnavailableError`)
+        probe.
 
     Every option is checked here, after the NumPy fallback has settled
     the backend: a bad value, or one the backend cannot honour, raises
@@ -609,7 +610,11 @@ class DepMiner:
                   tracer: Tracer, metrics: MetricsRegistry,
                   executor: Optional[ShardedExecutor], mark: int,
                   _keys=None, _guard: Optional[bytes] = None) -> DepMinerResult:
-        """Steps 2–4 (cmax, lhs, FD output) plus the cache write-back."""
+        """Steps 2–4 (cmax, lhs, FD output) plus the cache write-back.
+
+        Shared by both backends; the columnar one derives the serial
+        cmax from lane-packed masks (:mod:`repro.columnar.cmax`).
+        """
         if executor is not None:
             # Fused parallel tail: each worker derives max(dep(r), A),
             # complements it and searches the transversals for its own
@@ -632,14 +637,20 @@ class DepMiner:
                     "cmax.edges", sum(len(edges) for edges in cmax.values())
                 )
         else:
-            with tracer.span("cmax", phase=True):
-                with tracer.span("maximal_sets"):
-                    max_sets = maximal_sets(agree, schema)
-                with tracer.span("complements"):
-                    cmax = complement_maximal_sets(max_sets, schema)
-                metrics.gauge(
-                    "cmax.edges", sum(len(edges) for edges in cmax.values())
-                )
+            if self.backend == "columnar":
+                from repro.columnar.cmax import maximal_sets_packed
+
+                with tracer.span("cmax", phase=True, backend="columnar"):
+                    max_sets, cmax = maximal_sets_packed(agree, schema)
+            else:
+                with tracer.span("cmax", phase=True):
+                    with tracer.span("maximal_sets"):
+                        max_sets = maximal_sets(agree, schema)
+                    with tracer.span("complements"):
+                        cmax = complement_maximal_sets(max_sets, schema)
+            metrics.gauge(
+                "cmax.edges", sum(len(edges) for edges in cmax.values())
+            )
 
             with tracer.span("lhs", phase=True,
                              method=self.transversal_algorithm) as lhs_span:

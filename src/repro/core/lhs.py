@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.attributes import AttributeSet, Schema
+from repro.core.attributes import AttributeSet, Schema, popcount
 from repro.errors import ReproError
-from repro.fd.fd import FD, sort_fds
+from repro.fd.fd import FD
 from repro.hypergraph.transversals import (
     minimal_transversals,
     resolve_transversal,
@@ -129,13 +129,16 @@ def fd_output(lhs_sets: Dict[int, List[int]], schema: Schema) -> List[FD]:
     Emits ``X → A`` for every ``X ∈ lhs(dep(r), A)`` except the trivial
     ``{A} → A``.  (Any other lhs containing ``A`` cannot occur: minimal
     transversals of ``cmax(dep(r), A)`` that contain ``A`` are exactly
-    ``{A}``, because ``A`` alone already hits every edge.)
+    ``{A}``, because ``A`` alone already hits every edge.)  The FDs are
+    built in :func:`~repro.fd.fd.sort_fds` order — by attribute, then
+    by ``(|X|, X)`` — so no FD objects are sorted afterwards.
     """
     fds: List[FD] = []
-    for attribute, masks in lhs_sets.items():
+    for attribute in sorted(lhs_sets):
         bit = 1 << attribute
-        for mask in masks:
+        for mask in sorted(lhs_sets[attribute],
+                           key=lambda mask: (popcount(mask), mask)):
             if mask == bit:
                 continue
             fds.append(FD(AttributeSet(schema, mask), attribute))
-    return sort_fds(fds)
+    return fds

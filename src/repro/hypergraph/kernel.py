@@ -5,46 +5,62 @@ candidate against every edge at every level: ``O(|edges|)`` rescans per
 candidate, with the candidate's vertex mask rebuilt from scratch each
 time.  On wide schemas — exactly the regime of the paper's scale-up
 experiments (Figures 5-7) — that phase dominates Dep-Miner's runtime.
-This module rebuilds the search as three layers:
+This module rebuilds the search as three layers, all on Python ints
+used as bitmasks, over one *incidence transpose* per call: each vertex
+mapped to its *column*, the bitmask of the (deduplicated) edges it
+lies in.  The transpose is built once and shared by every reduction
+step and by the search.
 
 1. **Reduction pass** (:func:`reduce_hypergraph`), run once before any
    search:
 
-   - *edge minimization* — an edge that contains another edge is hit
-     whenever the smaller one is, so only the inclusion-minimal edges
-     constrain the transversals;
    - *essential vertices* — a singleton edge ``{v}`` forces ``v`` into
-     every transversal; ``v`` is committed immediately and the edges it
-     hits are dropped (in a simple hypergraph that is exactly the
-     singleton itself);
-   - *vertex merging* — vertices with identical edge incidence are
+     every transversal; ``v`` is committed immediately and every edge
+     it hits leaves the columns of the others;
+   - *vertex merging* — vertices with identical columns are
      interchangeable: no minimal transversal contains two of them, and
      swapping one for another maps minimal transversals to minimal
-     transversals.  Each incidence class is collapsed to one
-     representative and expanded back by substitution at the end;
-   - *connected components* — edges sharing no vertex constrain
-     disjoint parts of a transversal, so the hypergraph splits into
-     components whose transversal families combine by cross product
-     (sum of sizes, never product, is searched).
+     transversals.  Each class is collapsed to one representative and
+     expanded back by substitution at the end;
+   - *connected components* — vertices whose columns share no edge
+     constrain disjoint parts of a transversal, so the hypergraph
+     splits into components whose transversal families combine by
+     cross product (sum of sizes, never product, is searched).
 
-2. **Incremental-coverage levelwise core** (:func:`_search_component`):
-   each candidate carries an *edge-coverage bitmask* built per level
-   from its join parent's mask OR-ed with the new vertex's incidence
-   column.  The transversality test becomes a single integer equality
-   against the full-coverage mask instead of an ``O(|edges|)`` rescan,
-   and candidate vertex masks are carried instead of rebuilt.
+   There is no edge minimization.  Every caller passes a simple family:
+   ``cmax(dep(r), A)`` and the key hypergraph are complements of
+   antichains (see
+   :func:`~repro.core.maximal_sets.complement_maximal_sets`), so an
+   ``O(k²)`` subset sweep finds nothing to drop.  The search is exact
+   on any family anyway — a superset edge is covered whenever its
+   subset is, so it never changes which candidates are transversals;
+   on a non-simple family the reductions only find less to merge or
+   split.
+
+2. **Levelwise core over** ``{vertex mask: coverage}``
+   (:func:`_search_component`): each candidate carries the bitmask of
+   the edges it covers, and is a transversal when that mask is full —
+   one integer equality instead of an ``O(|edges|)`` rescan.  The
+   Apriori join groups a level's survivors by ``mask ^ highest bit``
+   (the pairs the sorted-tuple join forms), prunes a child unless
+   ``child ^ v`` survived for every prefix bit ``v``, and builds the
+   child's coverage as its parent's coverage OR the new vertex's
+   column.
 
 3. **Vectorized batch backend** (optional, NumPy): a whole level's
    coverage masks live in lane-packed ``uint64`` arrays (mirroring
    ``repro.columnar.agree``); the per-level transversality test is one
-   vectorized compare-and-reduce.  Selected with ``backend="vectorized"``
-   and falling back to the pure-Python core (with a logged warning) when
-   NumPy is not installed — ``pip install 'repro[fast]'`` provides it.
+   vectorized compare-and-reduce.  It runs only when a caller names
+   ``backend="vectorized"`` — on every measured cmax family it is
+   slower than the mask core — and falls back to that core (with a
+   logged warning) when NumPy is not installed.
 
 The kernel is extensionally identical to ``minimal_transversals_levelwise``
 — the paper's algorithm, kept as the ablation baseline — and to the
 Berge / DFS oracles (``tests/test_transversal_kernel.py`` holds all of
-them equal on random simple hypergraphs, with and without ``max_size``).
+them equal on random simple hypergraphs, with and without ``max_size``,
+and the kernel equal to the levelwise search of the minimized family on
+raw families with duplicate, superset and singleton edges).
 """
 
 from __future__ import annotations
@@ -54,7 +70,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import popcount
 from repro.errors import ReproError
-from repro.hypergraph.hypergraph import minimize_sets
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressCallback, emit_progress
@@ -87,15 +102,16 @@ class HypergraphReduction:
 
     *essential* is the mask of vertices committed into every transversal
     (from singleton edges); *components* holds, per connected component,
-    the list of remaining edges (masks over representative vertices);
-    *groups* maps each representative vertex to the full list of
-    vertices sharing its edge incidence (length 1 when nothing merged).
+    the incidence columns of its representative vertices (``{vertex:
+    column}``, bit ``i`` of a column set iff the vertex lies in edge
+    ``i`` of the deduplicated family); *groups* maps each representative
+    vertex to the full list of vertices sharing its column (length 1
+    when nothing merged).
     """
 
     essential: int = 0
-    components: List[List[int]] = field(default_factory=list)
+    components: List[Dict[int, int]] = field(default_factory=list)
     groups: Dict[int, List[int]] = field(default_factory=dict)
-    edges_dropped: int = 0
     vertices_merged: int = 0
 
     @property
@@ -103,94 +119,106 @@ class HypergraphReduction:
         return len(self.components)
 
 
+def _incidence(edges: Sequence[int]) -> Dict[int, int]:
+    """The incidence transpose: vertex -> bitmask of the edges it lies in,
+    in ascending vertex order.
+
+    Transposed as a matrix of binary strings — one ``format`` per edge
+    and one ``int(..., 2)`` per vertex — so no Python-level loop runs
+    per (edge, vertex) bit; cmax edges are complements of small maximal
+    sets, so they are dense and that loop dominated the pass.
+    """
+    if not edges:
+        return {}
+    width = max(edges).bit_length()
+    # Row i is edge k-1-i, lowest vertex first: column v, read top to
+    # bottom, is vertex v's incidence with edge k-1 as its leading bit.
+    rows = [format(edge, f"0{width}b")[::-1] for edge in reversed(edges)]
+    incidence: Dict[int, int] = {}
+    for vertex, bits in enumerate(zip(*rows)):
+        column = int("".join(bits), 2)
+        if column:
+            incidence[vertex] = column
+    return incidence
+
+
 def reduce_hypergraph(edges: Sequence[int],
                       metrics: Optional[MetricsRegistry] = None
                       ) -> HypergraphReduction:
-    """The preprocessing pass: minimize, commit essentials, merge, split.
+    """The preprocessing pass: commit essentials, merge, split.
 
-    Accepts any family of non-empty edges (supersets of other edges are
-    dropped first, so the input need not be a simple hypergraph) and
-    returns a :class:`HypergraphReduction` whose components jointly have
-    the same minimal-transversal family as the input, after adding the
-    essential vertices and expanding the merged ones.
+    Accepts any family of non-empty edges and returns a
+    :class:`HypergraphReduction` whose components jointly have the same
+    minimal-transversal family as the input, after adding the essential
+    vertices and expanding the merged ones.  Duplicate edges collapse;
+    an edge containing another stays (see the module docstring), which
+    only leaves the merge and split steps less to find.
     """
     reduction = HypergraphReduction()
-    minimal = minimize_sets(edges)
-    reduction.edges_dropped = len(edges) - len(minimal)
+    unique = sorted(set(edges))
+    incidence = _incidence(unique)
 
-    # Essential vertices: a singleton edge {v} is hit only by v.  In the
-    # minimized (simple) family no other edge contains v, so committing
-    # v drops exactly the singletons; the generic filter also covers
-    # callers that disabled minimization upstream.
+    # Essential vertices: a singleton edge {v} is hit only by v.
     essential = 0
-    for edge in minimal:
+    for edge in unique:
         if edge & (edge - 1) == 0:  # exactly one bit set
             essential |= edge
     reduction.essential = essential
-    remaining = [edge for edge in minimal if not edge & essential]
-
     if metrics is not None:
-        if reduction.edges_dropped:
-            metrics.inc("transversal.edges_dropped", reduction.edges_dropped)
         metrics.inc("transversal.essential_committed", popcount(essential))
 
-    if not remaining:
-        return reduction
+    # Committing them satisfies every edge they hit: those edge bits
+    # leave every column, and a vertex with no edge left drops out.
+    satisfied = 0
+    rest = essential
+    while rest:
+        low = rest & -rest
+        satisfied |= incidence[low.bit_length() - 1]
+        rest ^= low
 
-    # Vertex merging: group the support vertices by their edge-incidence
-    # bitmask (bit i of incidence[v] <-> v ∈ remaining[i]).  The bit
-    # loop is inlined — this transpose is the hottest part of the pass.
-    incidence: Dict[int, int] = {}
-    get = incidence.get
-    for index, edge in enumerate(remaining):
-        bit = 1 << index
-        while edge:
-            low = edge & -edge
-            vertex = low.bit_length() - 1
-            incidence[vertex] = get(vertex, 0) | bit
-            edge ^= low
-    by_incidence: Dict[int, List[int]] = {}
-    for vertex in sorted(incidence):
-        by_incidence.setdefault(incidence[vertex], []).append(vertex)
-    for members in by_incidence.values():
+    # Vertex merging: vertices with identical columns are one class,
+    # searched through its lowest member.
+    by_column: Dict[int, List[int]] = {}
+    for vertex, column in incidence.items():
+        column &= ~satisfied
+        if column:
+            by_column.setdefault(column, []).append(vertex)
+    if not by_column:
+        return reduction
+    pending: Dict[int, int] = {}
+    for column, members in by_column.items():
         reduction.groups[members[0]] = members
         reduction.vertices_merged += len(members) - 1
+        pending[members[0]] = column
     if metrics is not None:
         metrics.inc("transversal.vertices_merged", reduction.vertices_merged)
 
-    # Rebuild the edges over the representatives by transposing the
-    # representatives' incidence columns back (every class member shares
-    # the column, so the representatives alone reconstruct each edge).
-    rebuilt = [0] * len(remaining)
-    for representative in reduction.groups:
-        bit = 1 << representative
-        column = incidence[representative]
-        while column:
-            low = column & -column
-            rebuilt[low.bit_length() - 1] |= bit
-            column ^= low
-    reduced_edges = sorted(set(rebuilt))
-
-    # Connected components by support-mask clustering: each edge merges
-    # every cluster whose support it overlaps, else it founds a new one.
-    # O(|edges| x |clusters|) single-int intersections — no per-vertex
-    # union-find walk.
-    clusters: List[Tuple[int, List[int]]] = []
-    for edge in reduced_edges:
-        support = edge
-        members = [edge]
-        disjoint: List[Tuple[int, List[int]]] = []
-        for cluster_support, cluster_edges in clusters:
-            if cluster_support & support:
-                support |= cluster_support
-                members.extend(cluster_edges)
-            else:
-                disjoint.append((cluster_support, cluster_edges))
-        disjoint.append((support, members))
-        clusters = disjoint
-    reduction.components = [
-        sorted(members) for _, members in sorted(clusters)
-    ]
+    # Connected components: grow each from its lowest pending vertex,
+    # sweeping the pending columns until none meets the grown edge
+    # support.  They are searched in order of their vertex masks (a
+    # max_size search stops at the first one that comes back empty).
+    clusters: List[Tuple[int, Dict[int, int]]] = []
+    while pending:
+        seed = next(iter(pending))
+        support = pending.pop(seed)
+        component = {seed: support}
+        vertices = 1 << seed
+        grown = True
+        while grown:
+            grown = False
+            unreached: Dict[int, int] = {}
+            for vertex, column in pending.items():
+                if column & support:
+                    support |= column
+                    component[vertex] = column
+                    vertices |= 1 << vertex
+                    grown = True
+                else:
+                    unreached[vertex] = column
+            pending = unreached
+        clusters.append((vertices, component))
+    clusters.sort(key=lambda entry: entry[0])
+    reduction.components = [component for _, component in clusters]
     if metrics is not None:
         metrics.inc("transversal.components", len(reduction.components))
     return reduction
@@ -223,83 +251,78 @@ class _LevelBudget:
             self.metrics.inc("transversal.candidates_pruned", count)
 
 
-def _join_level(level: List[Tuple[int, ...]], covers: List[int],
-                incidence: Dict[int, int],
-                budget: _LevelBudget) -> Tuple[List[Tuple[int, ...]], List[int]]:
-    """Apriori join carrying coverage masks alongside the index tuples.
+def _join_masks(survivors: Dict[int, int], columns: Dict[int, int],
+                budget: _LevelBudget) -> Dict[int, int]:
+    """Apriori join over ``{vertex mask: coverage}``.
 
-    Joins pairs sharing their first ``i - 1`` vertices, prunes candidates
-    with an absent size-``i`` subset, and builds each child's coverage as
-    ``parent_coverage | incidence[new_vertex]`` — no per-edge rescan.
+    Survivors sharing all but their highest vertex (the same pairs the
+    sorted-tuple join forms) are joined; a child is pruned unless
+    ``child ^ v`` survived for every prefix bit ``v`` (dropping either
+    highest vertex gives a parent, present by construction).  A child's
+    coverage is its left parent's OR the column of the right parent's
+    highest bit (*columns* is keyed by vertex bit) — no per-edge rescan.
     """
-    present = set(level)
-    size = len(level[0])
-    next_level: List[Tuple[int, ...]] = []
-    next_covers: List[int] = []
+    groups: Dict[int, List[int]] = {}
+    for mask in survivors:
+        prefix = mask ^ (1 << (mask.bit_length() - 1))
+        group = groups.get(prefix)
+        if group is None:
+            groups[prefix] = [mask]
+        else:
+            group.append(mask)
+    children: Dict[int, int] = {}
     pruned = 0
-    for i, left in enumerate(level):
-        prefix = left[:-1]
-        left_cover = covers[i]
-        for j in range(i + 1, len(level)):
-            right = level[j]
-            if right[:-1] != prefix:
-                break
-            candidate = left + (right[-1],)
-            # Dropping position size gives *left*, position size-1 gives
-            # *right* — both present by construction, so only the other
-            # size-1 subsets need the Apriori membership test.
-            if all(
-                candidate[:k] + candidate[k + 1:] in present
-                for k in range(size - 1)
-            ):
-                next_level.append(candidate)
-                next_covers.append(left_cover | incidence[candidate[-1]])
-            else:
-                pruned += 1
+    for prefix, members in groups.items():
+        if len(members) < 2:
+            continue
+        prefix_bits = []
+        rest = prefix
+        while rest:
+            low = rest & -rest
+            prefix_bits.append(low)
+            rest ^= low
+        for i, left in enumerate(members):
+            left_cover = survivors[left]
+            for right in members[i + 1:]:
+                child = left | right
+                for bit in prefix_bits:
+                    if child ^ bit not in survivors:
+                        pruned += 1
+                        break
+                else:
+                    children[child] = left_cover | columns[right ^ prefix]
     budget.pruned(pruned)
-    return next_level, next_covers
+    return children
 
 
-def _search_component(edges: List[int], max_size: Optional[int],
-                      budget: _LevelBudget, vectorized: bool) -> List[int]:
-    """Minimal transversals (≤ *max_size*) of one connected component."""
-    incidence: Dict[int, int] = {}
-    get = incidence.get
-    for index, edge in enumerate(edges):
-        bit = 1 << index
-        while edge:
-            low = edge & -edge
-            vertex = low.bit_length() - 1
-            incidence[vertex] = get(vertex, 0) | bit
-            edge ^= low
-    full = (1 << len(edges)) - 1
-    if vectorized and np is not None:
-        return _search_component_lanes(incidence, full, len(edges),
-                                       max_size, budget)
+def _search_component(columns: Dict[int, int], max_size: Optional[int],
+                      budget: _LevelBudget) -> List[int]:
+    """Minimal transversals (≤ *max_size*) of one connected component.
 
-    level: List[Tuple[int, ...]] = [
-        (vertex,) for vertex in sorted(incidence)
-    ]
-    covers: List[int] = [incidence[candidate[0]] for candidate in level]
+    *columns* maps each vertex to its incidence column; a level maps
+    each candidate's vertex mask to the edges it covers, and a
+    candidate is a transversal when that coverage is full.
+    """
+    by_bit: Dict[int, int] = {}
+    full = 0
+    for vertex, column in columns.items():
+        by_bit[1 << vertex] = column
+        full |= column
+    level = dict(by_bit)
     found: List[int] = []
     size = 1
     while level:
         budget.level(len(level))
-        survivors: List[Tuple[int, ...]] = []
-        survivor_covers: List[int] = []
-        for candidate, cover in zip(level, covers):
-            if cover == full:
-                mask = 0
-                for vertex in candidate:
-                    mask |= 1 << vertex
-                found.append(mask)
-            else:
-                survivors.append(candidate)
-                survivor_covers.append(cover)
-        if not survivors or (max_size is not None and size >= max_size):
+        # Transversals leave the level in place instead of the rest
+        # being copied out: one more large dict per level grew the
+        # process heap (glibc keeps freed large blocks on the heap).
+        complete = [mask for mask, cover in level.items() if cover == full]
+        found.extend(complete)
+        for mask in complete:
+            del level[mask]
+        if not level or (max_size is not None and size >= max_size):
             break
-        level, covers = _join_level(survivors, survivor_covers,
-                                    incidence, budget)
+        level = _join_masks(level, by_bit, budget)
         size += 1
     return found
 
@@ -315,21 +338,25 @@ def _pack_lanes(mask: int, num_lanes: int):
     return row
 
 
-def _search_component_lanes(incidence: Dict[int, int], full: int,
-                            num_edges: int, max_size: Optional[int],
+def _search_component_lanes(columns: Dict[int, int],
+                            max_size: Optional[int],
                             budget: _LevelBudget) -> List[int]:
     """The NumPy backend: evaluate a whole level's coverage at once.
 
-    Candidate tuples and the Apriori join stay in Python (they are
-    data-dependent and cheap); the coverage accumulation and the
-    transversality test — the ``O(level × edges)`` part — run as
-    vectorized uint64 lane operations over the entire level.
+    Candidate tuples and the Apriori join stay in Python; the coverage
+    accumulation and the transversality test — the ``O(level × edges)``
+    part — run as vectorized uint64 lane operations over the entire
+    level.  Only a caller naming ``"vectorized"`` runs it: on every
+    measured cmax family it is slower than the mask core above.
     """
-    num_lanes = (num_edges + _BITS_PER_LANE - 1) // _BITS_PER_LANE
-    vertices = sorted(incidence)
+    full = 0
+    for column in columns.values():
+        full |= column
+    num_lanes = (full.bit_length() + _BITS_PER_LANE - 1) // _BITS_PER_LANE
+    vertices = sorted(columns)
     vertex_row = {vertex: row for row, vertex in enumerate(vertices)}
     incidence_lanes = np.stack([
-        _pack_lanes(incidence[vertex], num_lanes) for vertex in vertices
+        _pack_lanes(columns[vertex], num_lanes) for vertex in vertices
     ])
     full_lanes = _pack_lanes(full, num_lanes)
 
@@ -365,8 +392,8 @@ def _search_component_lanes(incidence: Dict[int, int], full: int,
                 if right[:-1] != prefix:
                     break
                 candidate = left + (right[-1],)
-                # As in _join_level: left/right are the two trailing
-                # subsets, present by construction.
+                # Dropping either trailing vertex gives left or right,
+                # present by construction.
                 if all(
                     candidate[:k] + candidate[k + 1:] in present
                     for k in range(size - 1)
@@ -432,7 +459,7 @@ def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
     ``lhs.candidates_generated`` series as the levelwise search plus the
     reduction counters (``transversal.essential_committed``,
     ``transversal.vertices_merged``, ``transversal.components``,
-    ``transversal.edges_dropped``, ``transversal.candidates_pruned``);
+    ``transversal.candidates_pruned``);
     *progress* sees the cumulative ``"transversal.candidates"`` stage;
     *tracer* optionally wraps the reduction pass in a
     ``transversal.reduce`` span carrying the reduction outcome as
@@ -457,16 +484,15 @@ def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
                         essential=popcount(reduction.essential),
                         merged=reduction.vertices_merged,
                         components=reduction.num_components,
-                        edges_dropped=reduction.edges_dropped,
                     )
         else:
             reduction = reduce_hypergraph(edges, metrics=metrics)
     else:
         reduction = HypergraphReduction(
-            components=[minimize_sets(edges)] if edges else [],
+            components=[_incidence(sorted(set(edges)))],
         )
         if metrics is not None:
-            metrics.inc("transversal.components", len(reduction.components))
+            metrics.inc("transversal.components", 1)
 
     remaining_budget = None
     if max_size is not None:
@@ -476,10 +502,10 @@ def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
         if remaining_budget == 0:
             return [] if reduction.components else [reduction.essential]
 
+    search = _search_component_lanes if vectorized else _search_component
     families: List[List[int]] = []
     for component in reduction.components:
-        family = _search_component(component, remaining_budget, budget,
-                                   vectorized)
+        family = search(component, remaining_budget, budget)
         if not family:
             # max_size truncated this component away: every global
             # transversal needs a part from each component, so none fits.
@@ -488,13 +514,11 @@ def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
 
     combos = [reduction.essential]
     for family in families:
-        merged = []
-        for base in combos:
-            for transversal in family:
-                combined = base | transversal
-                if max_size is None or popcount(combined) <= max_size:
-                    merged.append(combined)
-        combos = merged
+        combos = [base | transversal
+                  for base in combos for transversal in family]
+        if max_size is not None:
+            combos = [combo for combo in combos
+                      if popcount(combo) <= max_size]
         if not combos:
             return []
 

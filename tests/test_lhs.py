@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.attributes import Schema
 from repro.core.lhs import fd_output, left_hand_sides
+from repro.fd.fd import sort_fds
 
 from tests.conftest import masks
 
@@ -69,3 +70,23 @@ class TestFdOutput:
         fds = discover_fds(paper_relation)
         keys = [(fd.rhs_index, len(fd.lhs), fd.lhs.mask) for fd in fds]
         assert keys == sorted(keys)
+
+    def test_input_order_does_not_matter(self):
+        # Antichains whose numeric order differs from the (size, mask)
+        # order: {D} = 0b1000 comes before {B, C} = 0b0110.
+        schema = Schema.of_width(4)
+        forward = {
+            0: [0b0001, 0b0110, 0b1000],
+            1: [0b0010, 0b0101, 0b1000],
+            3: [0],
+        }
+        backward = {
+            attribute: list(reversed(forward[attribute]))
+            for attribute in reversed(list(forward))
+        }
+        fds = fd_output(forward, schema)
+        assert fd_output(backward, schema) == fds
+        assert fds == sort_fds(fds)
+        assert [str(fd) for fd in fds] == [
+            "D -> A", "BC -> A", "D -> B", "AC -> B", "∅ -> D",
+        ]

@@ -5,7 +5,10 @@ backend, with or without the reduction pass) is extensionally identical
 to the paper's levelwise Algorithm 5, Berge's sequential method and the
 FastFDs-style DFS test oracle (:mod:`tests.dfs`) — on arbitrary simple
 hypergraphs, under ``max_size`` truncation, and end-to-end through
-``DepMiner`` at any ``jobs`` value.
+``DepMiner`` at any ``jobs`` value.  The kernel runs no edge
+minimization, so raw families with duplicate, superset and singleton
+edges must also come out as the levelwise search of their minimized
+core.
 """
 
 from __future__ import annotations
@@ -43,6 +46,29 @@ def simple_hypergraphs(draw, max_vertices=7, max_edges=8):
     return minimize_sets(raw), num_vertices
 
 
+@st.composite
+def raw_hypergraphs(draw, max_vertices=7, max_edges=10):
+    """A random edge family that need not be simple: duplicates,
+    supersets and singletons, as ``(edges, num_vertices)``."""
+    num_vertices = draw(st.integers(min_value=1, max_value=max_vertices))
+    universe = (1 << num_vertices) - 1
+    # Room for the two singletons, the superset and the duplicate.
+    edges = draw(st.lists(
+        st.integers(min_value=1, max_value=universe),
+        max_size=max_edges - 4,
+    ))
+    singletons = draw(st.lists(
+        st.integers(min_value=0, max_value=num_vertices - 1), max_size=2
+    ))
+    edges += [1 << vertex for vertex in singletons]
+    if edges:
+        # A superset and a duplicate of an edge already drawn.
+        base = draw(st.sampled_from(edges))
+        extra = draw(st.integers(min_value=0, max_value=universe))
+        edges += [base | extra, base]
+    return draw(st.permutations(edges)), num_vertices
+
+
 class TestAlgorithmEquivalence:
     @given(simple_hypergraphs())
     @settings(max_examples=80, deadline=None)
@@ -67,6 +93,27 @@ class TestAlgorithmEquivalence:
             assert minimal_transversals_kernel(
                 edges, num_vertices, max_size=cap, backend=backend
             ) == expected
+
+    @given(raw_hypergraphs(),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
+    @settings(max_examples=120, deadline=None)
+    def test_non_simple_families_match_the_minimized_search(
+        self, hypergraph, cap
+    ):
+        # No minimization step: the kernel must search a family with
+        # duplicate, superset and singleton edges exactly as its
+        # inclusion-minimal core.
+        edges, num_vertices = hypergraph
+        expected = minimal_transversals_levelwise(
+            minimize_sets(edges), num_vertices, max_size=cap
+        )
+        for backend in ("python", "vectorized"):
+            assert minimal_transversals_kernel(
+                edges, num_vertices, max_size=cap, backend=backend
+            ) == expected
+        assert minimal_transversals_kernel(
+            edges, num_vertices, max_size=cap, reductions=False
+        ) == expected
 
     @given(simple_hypergraphs())
     @settings(max_examples=60, deadline=None)
@@ -166,8 +213,8 @@ class TestDirectedEdgeCases:
             minimal_transversals_kernel([0b1], 1, backend="gpu")
 
     def test_superset_edges_are_dropped(self):
+        # Committing the essential vertex 0 satisfies both supersets.
         reduction = reduce_hypergraph([0b001, 0b011, 0b101])
-        assert reduction.edges_dropped == 2
         assert reduction.essential == 0b001
         assert reduction.components == []
 
