@@ -5,8 +5,9 @@ equivalence classes of a stripped partition database beats the naive
 all-pairs scan, and the identifier-set variant (Algorithm 3) trades a
 per-couple win for an indexing cost.  The naive baseline is benchmarked
 at a smaller row count — it is O(n * p^2) and exists to show the gap.
-The columnar arm times the NumPy agree step (``candidate_couples`` +
-``resolve_couples``) on the class-id matrix of the same relation.
+The columnar arm times the NumPy agree step (``columnar_agree_sets``,
+the distinct-partition sweep) on the class-id matrix of the same
+relation.
 """
 
 from __future__ import annotations

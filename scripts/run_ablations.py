@@ -77,8 +77,8 @@ def main() -> int:
         seconds, value = timed(fn, spdb)
         assert value == reference, name
         row("agree-sets", name, seconds)
-    # The columnar agree step (candidate_couples + resolve_couples)
-    # starts from its own class-id matrix, as the stripped partitions
+    # The columnar agree step (the distinct-partition sweep) starts
+    # from its own class-id matrix, as the stripped partitions
     # are the row-wise algorithms' input.
     ec = class_matrix(encode_relation(relation))
     seconds, value = timed(columnar_agree_sets, ec)

@@ -25,10 +25,11 @@ each append also publishes the updated artefacts under the *grown*
 relation's content keys, so a later cold run over the same data is a
 warm hit.
 
-Parallelism: with ``jobs > 1`` the delta couples are resolved in chunks
-through the same :class:`~repro.parallel.executor.ShardedExecutor`
-shard kinds (``agree.couples`` / ``agree.identifiers``) as a cold
-parallel run, against tables built from the updated partitions.
+Parallelism: with ``jobs > 1`` on the python backend the delta couples
+are resolved in chunks through the same
+:class:`~repro.parallel.executor.ShardedExecutor` shard kinds
+(``agree.couples`` / ``agree.identifiers``) as a cold parallel run,
+against tables built from the updated partitions.
 
 Concurrency: appends are serialized on a per-instance mutex (the
 long-lived service keeps one ``IncrementalMiner`` per session and feeds
@@ -40,10 +41,9 @@ slices**: per-attribute encoder dicts (seeded from the initial
 relation's factorization — reused verbatim from a
 :class:`~repro.columnar.ingest.CodedRelation` when the null semantics
 match) assign codes to appended rows, each batch appends one
-``(width, new)`` int64 slice, and the delta couples resolve through
-the vectorized :func:`repro.columnar.agree.resolve_couples` (sharded
-into ranges under ``jobs > 1``) instead of the per-couple Python
-resolution.
+``(width, new)`` int64 slice, and the delta couples resolve in-process
+through the vectorized :func:`repro.columnar.agree.resolve_couples` at
+every ``jobs`` value, instead of the per-couple Python resolution.
 """
 
 from __future__ import annotations
@@ -408,31 +408,25 @@ class IncrementalMiner:
                        metrics: MetricsRegistry) -> Set[int]:
         """Agree-set masks of the delta couples (serial or sharded).
 
-        Reuses the exact resolution functions (and, with ``jobs > 1``,
-        the exact shard kinds) of the cold pipeline, so the delta path
-        inherits its determinism guarantees.
+        Reuses the exact resolution functions (and, with ``jobs > 1`` on
+        the python backend, the exact shard kinds) of the cold pipeline,
+        so the delta path inherits its determinism guarantees.
         """
         if not couples:
             return set()
         miner = self.miner
         if self._code_chunks is not None:
-            # Columnar backend: the delta resolves against the grown
-            # code matrix with the vectorized couple resolution (range
-            # shards under jobs > 1), same masks as the Python paths.
+            # Columnar backend: the delta resolves in-process against the
+            # grown code matrix with the sweep's resolution (at most
+            # appended rows × |r| couples), same masks as the Python paths.
             import numpy as np
 
             from repro.columnar.agree import resolve_couples
             from repro.columnar.grouping import class_matrix
 
-            ec = class_matrix(self._codes())
             pairs = np.asarray(couples, dtype=np.int64)
-            left, right = pairs[:, 0], pairs[:, 1]
-            executor = miner._make_executor(tracer, metrics)
-            if executor is not None:
-                from repro.parallel.shards import parallel_columnar_couples
-
-                return parallel_columnar_couples(ec, left, right, executor)
-            return resolve_couples(ec, left, right)
+            return resolve_couples(class_matrix(self._codes()),
+                                   pairs[:, 0], pairs[:, 1])
         if miner.agree_algorithm == "identifiers":
             kind = "agree.identifiers"
             shared: Dict[str, Any] = {

@@ -7,17 +7,19 @@ order; runs of length 1 are the stripped singletons.  Two array forms
 are derived from the runs:
 
 - :func:`class_ids` — the per-tuple equivalence-class identifier array
-  (``-1`` for stripped rows), i.e. one row of the paper's ``ec(t)``
-  table; :func:`class_matrix` stacks them into the full
-  tuples×attributes identifier matrix the agree-set stage intersects;
+  (``-1`` for stripped rows, each class numbered by its smallest row),
+  i.e. one row of the paper's ``ec(t)`` table; :func:`class_matrix`
+  stacks them into the full tuples×attributes identifier matrix the
+  agree-set stage intersects;
 - :func:`to_stripped_partition` — the classic
   :class:`~repro.partitions.partition.StrippedPartition` object, used
   by the property tests to hold the grouping equal to
   :func:`repro.partitions.partition.stripped_partition_of_column`.
 
 The stable sort keeps row indices ascending within each run, which the
-couple enumeration in :mod:`repro.columnar.agree` relies on (it emits
-``left < right`` pairs without any extra sorting).
+canonical class ids and the couple enumeration in
+:mod:`repro.columnar.agree` rely on (it emits ``left < right`` pairs
+without any extra sorting).
 """
 
 from __future__ import annotations
@@ -62,19 +64,21 @@ def grouped_runs(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
 def class_ids(codes: np.ndarray) -> np.ndarray:
     """``row → stripped class id`` for one column (``-1`` = singleton).
 
-    Class ids are dense over the surviving (length > 1) runs; their
-    numbering is arbitrary — only *equality* of ids matters downstream.
+    Each surviving (length > 1) class is numbered by its smallest row,
+    so the ids depend only on the partition, not on the values: two
+    columns with the same stripped partition get byte-identical arrays
+    (the agree sweep keeps each distinct partition once).
     """
     order, starts, lengths = grouped_runs(codes)
     ids = np.full(codes.shape[0], -1, dtype=np.int64)
     keep = lengths > 1
     if keep.any():
-        run_ids = np.cumsum(keep) - 1
         member_run = np.repeat(
             np.arange(starts.shape[0], dtype=np.int64), lengths
         )
         kept_positions = keep[member_run]
-        ids[order[kept_positions]] = run_ids[member_run[kept_positions]]
+        # The stable sort leaves each run's smallest row at its start.
+        ids[order[kept_positions]] = order[starts][member_run[kept_positions]]
     return ids
 
 

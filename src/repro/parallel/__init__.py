@@ -12,15 +12,14 @@ package is the ``--jobs N`` machinery that exploits it:
   :class:`PersistentPool` reused across maps, runs and service
   requests;
 - :mod:`repro.parallel.shm` — :class:`SharedArrayArena`: zero-copy
-  publication of the heavy read-only shard context (code/class
-  matrices, packed agree bitsets, pickled-once blobs) through
+  publication of the heavy read-only shard context (packed agree
+  bitsets, pickled-once blobs) through
   ``multiprocessing.shared_memory``, with graceful inline fallback
   when NumPy or shared memory is unavailable;
 - :mod:`repro.parallel.shards` — the pipeline integrations:
   :func:`parallel_agree_sets` (couple chunks resolved against shared
-  read-only row → class-index tables), the columnar couple-range
-  variant, and :func:`parallel_cmax_lhs` (``CMAX_SET`` + transversal
-  search fanned out per RHS attribute).
+  read-only row → class-index tables) and :func:`parallel_cmax_lhs`
+  (``CMAX_SET`` + transversal search fanned out per RHS attribute).
 
 ``jobs=1`` — the default of every entry point — is *exactly* today's
 serial pipeline; any ``jobs`` value yields bit-for-bit identical FD

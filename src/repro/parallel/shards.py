@@ -12,12 +12,6 @@ resolution functions the serial algorithms call — and the parent unions
 the partial ``ag(r)`` fragments.  Set union is commutative, so the
 result is independent of completion order.
 
-**Columnar couple-range sharding** (:func:`parallel_columnar_couples`)
-— the columnar backend's variant of the same orchestration: the couple
-stream is a pair of NumPy index arrays, so chunks are plain
-``(start, stop)`` ranges and each worker resolves an array slice
-against the shared per-tuple class-identifier matrix.
-
 **Per-RHS-attribute lhs fan-out** (:func:`parallel_cmax_lhs`) — each
 attribute's ``max(dep(r), A)`` derivation, complementation and minimal
 transversal search touch only ``ag(r)`` and the attribute index, so the
@@ -54,7 +48,6 @@ from repro.partitions.database import StrippedPartitionDatabase
 
 __all__ = [
     "parallel_agree_sets",
-    "parallel_columnar_couples",
     "parallel_cmax_lhs",
 ]
 
@@ -87,26 +80,6 @@ def _agree_identifiers_shard(shared, payload, metrics) -> Set[int]:
     """Resolve one couple chunk by identifier-set intersection."""
     metrics.inc("agree.couples_enumerated", len(payload))
     return resolve_couples_with_identifiers(payload, shared["identifiers"])
-
-
-@register_shard_kind("columnar.couples")
-def _columnar_couples_shard(shared, payload, metrics) -> Set[int]:
-    """Resolve one couple-range slice against the shared ``ec(t)`` matrix.
-
-    The payload is a ``(start, stop)`` range into the parent's couple
-    arrays — chunked couple ranges are literally array slices on the
-    columnar backend.  The import is deferred so this module stays
-    importable without NumPy (the pure-Python lanes never ship this
-    kind).
-    """
-    from repro.columnar.agree import resolve_couples
-
-    start, stop = payload
-    metrics.inc("agree.couples_enumerated", stop - start)
-    return resolve_couples(
-        shared["ec"], shared["left"][start:stop],
-        shared["right"][start:stop],
-    )
 
 
 @register_shard_kind("lhs.attribute")
@@ -210,41 +183,6 @@ def parallel_agree_sets(spdb: StrippedPartitionDatabase,
         stats["num_chunks"] = len(chunks)
     if empty_agree_set_present(spdb, visited):
         result.add(0)
-    return result
-
-
-def parallel_columnar_couples(ec, left, right,
-                              executor: ShardedExecutor,
-                              stats: Optional[Dict[str, int]] = None) -> Set[int]:
-    """``ag(r)`` masks by sharding columnar couple ranges over *executor*.
-
-    The parent enumerates and deduplicates the couple arrays once
-    (:func:`repro.columnar.agree.candidate_couples`), then ships plain
-    ``(start, stop)`` ranges; workers slice the shared ``left``/``right``
-    index arrays and resolve their slice against the shared
-    class-identifier matrix with the same vectorized resolution the
-    serial columnar path uses.  Set union of the partial mask sets is
-    order-independent, so the result is bit-for-bit the serial one; the
-    ``∅ ∈ ag(r)`` test stays with the caller (it only needs the distinct
-    couple count, which chunking does not change).
-    """
-    visited = int(left.shape[0])
-    size = _chunk_size(visited, executor.jobs, None)
-    ranges = [
-        (offset, min(offset + size, visited))
-        for offset in range(0, visited, size)
-    ]
-    shared = {"ec": ec, "left": left, "right": right}
-    logger.debug(
-        "sharded columnar agree sets: %d couples into %d ranges of <=%d "
-        "(%s)", visited, len(ranges), size, executor,
-    )
-    result: Set[int] = set()
-    for partial in executor.map("columnar.couples", ranges, shared=shared,
-                                stage="agree_sets.shards"):
-        result |= partial
-    if stats is not None:
-        stats["num_chunks"] = len(ranges)
     return result
 
 

@@ -1,8 +1,8 @@
 """Zero-copy shared-memory publication of read-only shard context.
 
 Every pooled ``ShardedExecutor.map()`` ships a *shared* context to its
-workers — the columnar ``ec(t)`` class-identifier matrix and couple
-index arrays, the row → class-index tables, the sorted agree-set masks.
+workers — the row → class-index tables, the identifier maps, the
+sorted or packed agree-set masks.
 The persistent pool has no per-map initializer, so that context would
 otherwise travel as one pickle per *task*.  :class:`SharedArrayArena`
 removes that cost for the heavy payloads:
