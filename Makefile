@@ -88,9 +88,11 @@ transversal-smoke:
 
 # End-to-end cache smoke: mine with --cache-dir (cold), rerun (warm full
 # hit), append rows (incremental), then assert the cache counters in the
-# three traces and schema-validate them.
+# three traces and schema-validate them.  The columnar leg repeats the
+# sequence on its own store; it has no partitions tier, so its cold run
+# writes 2 artefacts instead of 3.
 cache-smoke:
-	mkdir -p .cache-smoke
+	mkdir -p .cache-smoke/columnar
 	$(PYTHON) -m repro generate -a 6 -t 400 -c 0.5 --seed 0 \
 		-o .cache-smoke/data.csv
 	$(PYTHON) -m repro generate -a 6 -t 8 -c 0.5 --seed 1 \
@@ -108,6 +110,21 @@ cache-smoke:
 		.cache-smoke/warm.jsonl .cache-smoke/append.jsonl
 	$(PYTHON) scripts/check_trace.py .cache-smoke/cold.jsonl \
 		.cache-smoke/warm.jsonl .cache-smoke/append.jsonl
+	$(PYTHON) -m repro discover .cache-smoke/data.csv --backend columnar \
+		--cache-dir .cache-smoke/columnar/store \
+		--trace .cache-smoke/columnar/cold.jsonl > /dev/null
+	$(PYTHON) -m repro discover .cache-smoke/data.csv --backend columnar \
+		--cache-dir .cache-smoke/columnar/store \
+		--trace .cache-smoke/columnar/warm.jsonl > /dev/null
+	$(PYTHON) -m repro discover .cache-smoke/data.csv --backend columnar \
+		--cache-dir .cache-smoke/columnar/store \
+		--append .cache-smoke/extra.csv \
+		--trace .cache-smoke/columnar/append.jsonl > /dev/null
+	$(PYTHON) scripts/check_cache.py --cold-puts 2 \
+		.cache-smoke/columnar/cold.jsonl .cache-smoke/columnar/warm.jsonl \
+		.cache-smoke/columnar/append.jsonl
+	$(PYTHON) scripts/check_trace.py .cache-smoke/columnar/cold.jsonl \
+		.cache-smoke/columnar/warm.jsonl .cache-smoke/columnar/append.jsonl
 
 # End-to-end service smoke: boot a real `repro serve` process on an
 # ephemeral port, drive register -> append -> cover/keys/armstrong over

@@ -1,8 +1,8 @@
 """CSV profiling: the storage layer end-to-end.
 
 The original system pointed Dep-Miner at Oracle / MS Access tables over
-ODBC; here the equivalent path is CSV -> Database catalog -> Query ->
-mining.  The script writes a sample CSV, loads it, profiles columns,
+ODBC; here the equivalent path is CSV -> Database catalog -> relation
+view -> mining.  The script writes a sample CSV, loads it, profiles columns,
 mines FDs both on the full table and on a projected/filtered view, and
 exports the Armstrong sample back to CSV.
 
@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from repro.datasets import supplier_parts_relation
-from repro.storage import Database, Query, relation_to_csv, write_csv
+from repro.storage import Database, relation_to_csv, write_csv
 from repro.storage.table import Table
 
 
@@ -46,12 +46,7 @@ def main():
 
     # Mine a projected view: does the supplier part of the schema keep
     # the same structure?
-    view = (
-        Query(table)
-        .select("sno", "sname", "status", "city")
-        .distinct()
-        .to_relation()
-    )
+    view = table.to_relation().project(["sno", "sname", "status", "city"])
     from repro import discover
 
     view_result = discover(view)

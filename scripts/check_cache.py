@@ -3,14 +3,15 @@
 
 Usage::
 
-    python scripts/check_cache.py COLD.jsonl WARM.jsonl APPEND.jsonl
+    python scripts/check_cache.py [--cold-puts N] COLD.jsonl WARM.jsonl APPEND.jsonl
 
 Reads three trace JSONL files produced by ``repro discover --cache-dir``
 runs over the same relation and asserts the counters that prove the
 cache actually worked:
 
-- the **cold** trace recorded three artefact writes (partitions, agree
-  sets, cover) and no hits;
+- the **cold** trace recorded ``--cold-puts`` artefact writes and no
+  hits: 3 (the default) on the python backend — partitions, agree sets,
+  cover — and 2 on the columnar backend, which has no partitions tier;
 - the **warm** trace recorded a ``cache.full_hit`` — the rerun was
   served entirely from the cover artefact — and a matching ``cache.hit``
   with zero writes;
@@ -23,6 +24,7 @@ Exits non-zero with one line per problem.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -39,7 +41,7 @@ def counters(path: Path) -> dict:
     return values
 
 
-def check(cold: dict, warm: dict, append: dict) -> list:
+def check(cold: dict, warm: dict, append: dict, cold_puts: int = 3) -> list:
     problems = []
 
     def expect(trace, name, values, predicate, description):
@@ -49,7 +51,8 @@ def check(cold: dict, warm: dict, append: dict) -> list:
                 f"{trace}: counter {name}={actual}, expected {description}"
             )
 
-    expect("cold", "cache.put", cold, lambda v: v == 3, "3 artefact writes")
+    expect("cold", "cache.put", cold, lambda v: v == cold_puts,
+           f"{cold_puts} artefact writes")
     expect("cold", "cache.hit", cold, lambda v: v == 0, "no hits")
     expect("warm", "cache.full_hit", warm, lambda v: v >= 1,
            ">= 1 (the warm-hit speedup counter)")
@@ -68,15 +71,21 @@ def check(cold: dict, warm: dict, append: dict) -> list:
 
 
 def main(argv) -> int:
-    if len(argv) != 3:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    paths = [Path(arg) for arg in argv]
+    parser = argparse.ArgumentParser(
+        description="Validate the cache-smoke traces."
+    )
+    parser.add_argument("--cold-puts", type=int, default=3,
+                        help="artefact writes the cold run must record")
+    parser.add_argument("traces", nargs=3, type=Path,
+                        metavar="COLD|WARM|APPEND")
+    args = parser.parse_args(argv)
+    paths = args.traces
     for path in paths:
         if not path.is_file():
             print(f"{path}: no such file", file=sys.stderr)
             return 2
-    problems = check(*(counters(path) for path in paths))
+    problems = check(*(counters(path) for path in paths),
+                     cold_puts=args.cold_puts)
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:

@@ -58,7 +58,6 @@ from repro.explain import (
 from repro.errors import (
     ArmstrongExistenceError,
     BenchmarkError,
-    QueryError,
     RelationError,
     ReproError,
     SchemaError,
@@ -153,7 +152,6 @@ __all__ = [
     "RelationError",
     "ArmstrongExistenceError",
     "StorageError",
-    "QueryError",
     "BenchmarkError",
     "__version__",
 ]

@@ -25,11 +25,10 @@ each append also publishes the updated artefacts under the *grown*
 relation's content keys, so a later cold run over the same data is a
 warm hit.
 
-Parallelism: with ``jobs > 1`` on the python backend the delta couples
-are resolved in chunks through the same
-:class:`~repro.parallel.executor.ShardedExecutor` shard kinds
-(``agree.couples`` / ``agree.identifiers``) as a cold parallel run,
-against tables built from the updated partitions.
+Parallelism: the delta couples resolve in-process at every ``jobs``
+value, on both backends — an append's delta is at most appended rows ×
+|r| couples, too few to repay a pool dispatch.  The re-derived tail
+still fans out per RHS attribute when ``jobs > 1``.
 
 Concurrency: appends are serialized on a per-instance mutex (the
 long-lived service keeps one ``IncrementalMiner`` per session and feeds
@@ -41,9 +40,9 @@ slices**: per-attribute encoder dicts (seeded from the initial
 relation's factorization — reused verbatim from a
 :class:`~repro.columnar.ingest.CodedRelation` when the null semantics
 match) assign codes to appended rows, each batch appends one
-``(width, new)`` int64 slice, and the delta couples resolve in-process
-through the vectorized :func:`repro.columnar.agree.resolve_couples` at
-every ``jobs`` value, instead of the per-couple Python resolution.
+``(width, new)`` int64 slice, and the delta couples resolve through
+the vectorized :func:`repro.columnar.agree.resolve_couples` instead of
+the per-couple Python resolution.
 """
 
 from __future__ import annotations
@@ -219,7 +218,7 @@ class IncrementalMiner:
             with tracer.span("incremental.delta_sweep") as sweep_span:
                 delta_couples = self._delta_couples(touched, n_old)
                 delta_masks = self._resolve_delta(
-                    sorted(delta_couples), spdb, tracer, metrics
+                    sorted(delta_couples), spdb
                 )
             # Every possible delta pair holds >= 1 new row; one that was
             # never visited shares no equivalence class, i.e. disagrees
@@ -404,21 +403,18 @@ class IncrementalMiner:
         )
 
     def _resolve_delta(self, couples: List[Tuple[int, int]],
-                       spdb: StrippedPartitionDatabase, tracer: Tracer,
-                       metrics: MetricsRegistry) -> Set[int]:
-        """Agree-set masks of the delta couples (serial or sharded).
+                       spdb: StrippedPartitionDatabase) -> Set[int]:
+        """Agree-set masks of the delta couples, resolved in-process.
 
-        Reuses the exact resolution functions (and, with ``jobs > 1`` on
-        the python backend, the exact shard kinds) of the cold pipeline,
-        so the delta path inherits its determinism guarantees.
+        Reuses the exact resolution functions of the cold pipeline, so
+        the delta path inherits its determinism guarantees.
         """
         if not couples:
             return set()
-        miner = self.miner
         if self._code_chunks is not None:
-            # Columnar backend: the delta resolves in-process against the
-            # grown code matrix with the sweep's resolution (at most
-            # appended rows × |r| couples), same masks as the Python paths.
+            # Columnar backend: the delta resolves against the grown code
+            # matrix with the sweep's resolution (at most appended rows ×
+            # |r| couples), same masks as the Python paths.
             import numpy as np
 
             from repro.columnar.agree import resolve_couples
@@ -427,46 +423,26 @@ class IncrementalMiner:
             pairs = np.asarray(couples, dtype=np.int64)
             return resolve_couples(class_matrix(self._codes()),
                                    pairs[:, 0], pairs[:, 1])
-        if miner.agree_algorithm == "identifiers":
-            kind = "agree.identifiers"
-            shared: Dict[str, Any] = {
-                "identifiers": spdb.equivalence_class_identifiers()
-            }
-            resolve = resolve_couples_with_identifiers
-        else:
-            kind = "agree.couples"
-            shared = {"class_of": build_class_index_tables(spdb)}
-            resolve = resolve_couples_with_tables
-        executor = miner._make_executor(tracer, metrics)
-        if executor is None:
-            return resolve(couples, next(iter(shared.values())))
-
-        from repro.parallel.shards import _chunk_size
-
-        size = _chunk_size(len(couples), executor.jobs, miner.max_couples)
-        chunks = [
-            tuple(couples[offset:offset + size])
-            for offset in range(0, len(couples), size)
-        ]
-        result: Set[int] = set()
-        for partial in executor.map(kind, chunks, shared=shared,
-                                    stage="incremental.delta_shards"):
-            result |= partial
-        return result
+        if self.miner.agree_algorithm == "identifiers":
+            return resolve_couples_with_identifiers(
+                couples, spdb.equivalence_class_identifiers()
+            )
+        return resolve_couples_with_tables(
+            couples, build_class_index_tables(spdb)
+        )
 
     def _publish_partitions(self, relation_key: str,
                             spdb: StrippedPartitionDatabase,
                             metrics: MetricsRegistry) -> None:
         """Store the updated ``r̂`` under the grown relation's key."""
         from repro.cache.artifacts import pack_partitions
-        from repro.cache.codec import guard_digest
-        from repro.cache.fingerprint import PipelineKeys
 
-        keys = PipelineKeys.for_miner(relation_key, self.miner)
+        keys, guard = self.miner.stage_keys(
+            relation_key, self._schema, self._num_rows
+        )
         self.miner.cache.put(
-            "partitions", keys.partitions,
-            guard_digest(self._schema.names, self._num_rows),
-            pack_partitions(spdb), metrics=metrics,
+            "partitions", keys.partitions, guard, pack_partitions(spdb),
+            metrics=metrics,
         )
 
     def __repr__(self) -> str:

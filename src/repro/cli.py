@@ -29,6 +29,7 @@ from repro.bench.experiments import (
     run_experiment,
 )
 from repro.bench.harness import ALGORITHM_NAMES
+from repro.columnar import load_mining_input
 from repro.core.depminer import DepMiner
 from repro.core.relation import Relation
 from repro.datagen.synthetic import generate_relation
@@ -511,27 +512,6 @@ def _command_discover(args: argparse.Namespace) -> int:
     return result
 
 
-def _load_mining_input(args: argparse.Namespace, cache, tracer):
-    """CSV → mining input: the streaming columnar ingest when the
-    columnar backend is active (a :class:`CodedRelation`, factorized
-    chunk by chunk, fingerprinted in the same pass when a cache is
-    configured, no ``Relation`` built up front), the classic
-    ``relation_from_csv`` path otherwise."""
-    if getattr(args, "backend", "python") == "columnar":
-        from repro.columnar import numpy_available
-
-        if numpy_available():
-            from repro.columnar.ingest import ingest_csv
-
-            return ingest_csv(
-                args.csv,
-                nulls_equal=not getattr(args, "sql_nulls", False),
-                fingerprint=cache is not None,
-                tracer=tracer,
-            )
-    return relation_from_csv(args.csv)
-
-
 def _run_discover(args: argparse.Namespace, tracer, metrics,
                   progress, sampler=None) -> int:
     cache = None
@@ -539,7 +519,10 @@ def _run_discover(args: argparse.Namespace, tracer, metrics,
         from repro.cache import ArtifactStore
 
         cache = ArtifactStore(cache_dir=args.cache_dir)
-    relation = _load_mining_input(args, cache, tracer)
+    relation = load_mining_input(
+        args.csv, args.backend, nulls_equal=not args.sql_nulls,
+        fingerprint=cache is not None, tracer=tracer,
+    )
     miner = DepMiner(
         agree_algorithm=args.algorithm,
         max_couples=args.max_couples,
@@ -802,7 +785,7 @@ def _command_report(args: argparse.Namespace) -> int:
     name = Path(args.csv).stem
     tracer, metrics, progress, sampler = _obs_hooks(args)
     with _fault_context(args, metrics) as fault_plan:
-        loaded = _load_mining_input(args, None, tracer)
+        loaded = load_mining_input(args.csv, args.backend, tracer=tracer)
         if hasattr(loaded, "to_relation"):
             relation, source = loaded.to_relation(), loaded
         else:

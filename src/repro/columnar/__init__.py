@@ -16,8 +16,9 @@ the same Dep-Miner stages column-at-a-time on integer-coded arrays:
 - :mod:`repro.columnar.cmax` — ``max``/``cmax`` derivation on
   lane-packed ``uint64`` bitmasks, feeding the lane-packed transversal
   kernel of :mod:`repro.hypergraph.kernel`;
-- :mod:`repro.columnar.pipeline` — the end-to-end run behind
-  ``DepMiner(backend="columnar")`` (cache- and executor-aware);
+- :mod:`repro.columnar.pipeline` — the backend's agree step (the
+  ``strip`` and ``agree_sets`` phases) that ``DepMiner.run`` calls for
+  ``backend="columnar"``;
 - :mod:`repro.columnar.ingest` — chunked streaming CSV → code matrix
   (:func:`ingest_csv` / :class:`CodedRelation`): factorization, type
   inference and the relation fingerprint in one pass, with the Python
@@ -44,6 +45,7 @@ __all__ = [
     "ColumnarUnavailableError",
     "numpy_available",
     "require_numpy",
+    "load_mining_input",
     "encode_column",
     "encode_relation",
     "grouped_runs",
@@ -55,7 +57,7 @@ __all__ = [
     "resolve_couples",
     "columnar_agree_sets",
     "maximal_sets_packed",
-    "run_columnar",
+    "columnar_agree_phases",
     "CodedRelation",
     "ingest_csv",
     "coded_from_relation",
@@ -89,6 +91,27 @@ def require_numpy() -> None:
         )
 
 
+def load_mining_input(path, backend: str, nulls_equal: bool = True,
+                      fingerprint: bool = False, tracer=None):
+    """CSV → what ``DepMiner(backend=...).run`` mines.
+
+    The columnar backend (with NumPy) gets the streaming ingest: a
+    :class:`CodedRelation` factorized chunk by chunk under
+    *nulls_equal*, fingerprinted in the same pass when *fingerprint*
+    is set (a cached run then needs no second walk), with no
+    ``Relation`` built up front.  Otherwise the classic
+    :func:`repro.storage.csv_io.relation_from_csv`.
+    """
+    if backend == "columnar" and numpy_available():
+        from repro.columnar.ingest import ingest_csv
+
+        return ingest_csv(path, nulls_equal=nulls_equal,
+                          fingerprint=fingerprint, tracer=tracer)
+    from repro.storage.csv_io import relation_from_csv
+
+    return relation_from_csv(path)
+
+
 #: Lazy re-exports: the submodules import NumPy at module level, so they
 #: are only loaded on first attribute access (after `require_numpy`).
 _LAZY = {
@@ -103,7 +126,7 @@ _LAZY = {
     "resolve_couples": "repro.columnar.agree",
     "columnar_agree_sets": "repro.columnar.agree",
     "maximal_sets_packed": "repro.columnar.cmax",
-    "run_columnar": "repro.columnar.pipeline",
+    "columnar_agree_phases": "repro.columnar.pipeline",
     "CodedRelation": "repro.columnar.ingest",
     "ingest_csv": "repro.columnar.ingest",
     "coded_from_relation": "repro.columnar.ingest",

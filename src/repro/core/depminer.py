@@ -38,7 +38,7 @@ from repro.core.agree_sets import agree_sets, check_agree_options
 from repro.core.armstrong import (
     classical_armstrong,
     real_world_armstrong,
-    real_world_armstrong_exists,
+    real_world_existence_deficits,
 )
 from repro.core.attributes import AttributeSet, Schema
 from repro.core.lhs import (
@@ -185,10 +185,11 @@ class DepMiner:
     cache:
         Optional :class:`repro.cache.ArtifactStore`.  ``run`` then
         fingerprints the relation (column-wise, row-order-insensitive)
-        and memoizes each pipeline artefact — stripped partitions,
-        ``ag(r)``, and the full cover bundle — under content-addressed
-        stage keys, so re-mining the same relation (or any row
-        permutation of it) skips straight to the cached artefacts.  The
+        and memoizes each pipeline artefact — ``ag(r)``, the full cover
+        bundle and, on the python backend, the stripped partitions —
+        under content-addressed stage keys, so re-mining the same
+        relation (or any row permutation of it) skips straight to the
+        cached artefacts.  The
         mined output is identical with or without a cache (the
         differential tests assert it); only ``run`` consults the cache
         (``run_on_partitions`` has no relation to fingerprint).  See
@@ -382,150 +383,168 @@ class DepMiner:
         materialized unless the Armstrong step needs domain values); the
         pure-Python backend materializes it first.
 
-        With a :attr:`cache` configured the run first fingerprints the
-        relation and reuses every cached artefact the fingerprint and
-        configuration allow (see ``docs/caching.md``); the output is
-        identical either way.
+        The one runner of both backends.  With a :attr:`cache` it
+        fingerprints the relation and reuses the deepest cached
+        artefact: the cover bundle (only the Armstrong step re-runs),
+        then ``ag(r)`` (skips the strip and the agree sweep); whatever
+        was recomputed is written back (see ``docs/caching.md``).
+        Otherwise the backend's agree step runs — the stripped
+        partitions and the couple sweep here, the phases of
+        :mod:`repro.columnar.pipeline` on the columnar backend — and
+        both hand ``ag(r)`` to the shared steps 2–5.  The output is
+        identical with or without a cache.
         """
         tracer = self._begin_trace()
         metrics = self.metrics if self.metrics is not None else NULL_METRICS
         mark = tracer.mark()
 
-        coded = None if isinstance(relation, Relation) else relation
         attrs = {"width": len(relation.schema), "rows": len(relation),
                  "backend": self.backend}
         if self.cache is not None:
             attrs["cached"] = True
         with tracer.span("depminer.run", **attrs):
-            if self.backend == "columnar":
-                from repro.columnar.pipeline import run_columnar
-
-                return run_columnar(self, relation, tracer, metrics, mark)
-            if coded is not None:
-                relation = coded.to_relation()
+            if self.backend == "python" and \
+                    not isinstance(relation, Relation):
+                relation = relation.to_relation()
+            schema = relation.schema
+            num_rows = len(relation)
+            stats: Dict[str, int] = {}
+            keys = guard = None
             if self.cache is not None:
-                return self._run_cached(relation, tracer, metrics, mark)
-            with tracer.span("strip", phase=True) as strip_span:
-                spdb = StrippedPartitionDatabase.from_relation(
-                    relation, nulls_equal=self.nulls_equal, metrics=metrics
-                )
-            logger.debug(
-                "stripped %d attributes over %d rows into %d classes "
-                "(%.3fs)", len(relation.schema), len(relation),
-                spdb.total_classes(), strip_span.duration,
-            )
-            result = self.run_on_partitions(
-                spdb, relation=relation, _tracer=tracer, _mark=mark
-            )
-        return result
+                from repro.cache.artifacts import unpack_agree, unpack_cover
+                from repro.cache.fingerprint import fingerprint_relation
 
-    def _run_cached(self, relation: Relation, tracer: Tracer,
-                    metrics: MetricsRegistry, mark: int) -> DepMinerResult:
-        """The content-addressed path: reuse the deepest cached artefact.
+                with tracer.span("cache.fingerprint"):
+                    relation_key = (
+                        fingerprint_relation(relation, self.nulls_equal)
+                        if isinstance(relation, Relation)
+                        # a columnar CodedRelation: from its codes
+                        else relation.fingerprint_key(self.nulls_equal)
+                    )
+                    keys, guard = self.stage_keys(
+                        relation_key, schema, num_rows
+                    )
+                with tracer.span("cache.lookup", stage="cover"):
+                    bundle = self.cache.get(
+                        "cover", keys.cover, guard, metrics=metrics
+                    )
+                if bundle is not None:
+                    agree, max_sets, cmax, lhs_sets, fds, stats = \
+                        unpack_cover(bundle, schema)
+                    metrics.inc("cache.full_hit")
+                    metrics.gauge("agree.sets", len(agree))
+                    metrics.gauge("fd.count", len(fds))
+                    logger.debug(
+                        "cover cache hit for %s: %d FDs reused",
+                        keys.cover, len(fds),
+                    )
+                    return self._finalize(
+                        agree, max_sets, cmax, lhs_sets, fds, schema,
+                        num_rows, relation, stats, tracer, metrics, mark,
+                    )
+                with tracer.span("cache.lookup", stage="agree"):
+                    entry = self.cache.get(
+                        "agree", keys.agree, guard, metrics=metrics
+                    )
+                if entry is not None:
+                    agree, stats = unpack_agree(entry)
+                    metrics.gauge("agree.sets", len(agree))
+                    return self._complete(
+                        agree, schema, num_rows, relation, stats, tracer,
+                        metrics, self._make_executor(tracer, metrics),
+                        mark, keys, guard,
+                    )
 
-        Tries the cover bundle first (full hit: only the Armstrong step
-        re-runs), then ``ag(r)`` (skips stripping *and* the couple
-        sweep), then the stripped partitions (skips the relation scan);
-        whatever was recomputed is written back for the next run.
-        """
-        from repro.cache.artifacts import (
-            pack_agree,
-            pack_partitions,
-            unpack_agree,
-            unpack_cover,
-            unpack_partitions,
-        )
-        from repro.cache.codec import guard_digest
-        from repro.cache.fingerprint import PipelineKeys, fingerprint_relation
-
-        store = self.cache
-        schema = relation.schema
-        num_rows = len(relation)
-        with tracer.span("cache.fingerprint"):
-            keys = PipelineKeys.for_miner(
-                fingerprint_relation(relation, self.nulls_equal), self
-            )
-            guard = guard_digest(schema.names, num_rows)
-
-        with tracer.span("cache.lookup", stage="cover"):
-            bundle = store.get("cover", keys.cover, guard, metrics=metrics)
-        if bundle is not None:
-            agree, max_sets, cmax, lhs_sets, fds, stats = unpack_cover(
-                bundle, schema
-            )
-            metrics.inc("cache.full_hit")
-            metrics.gauge("agree.sets", len(agree))
-            metrics.gauge("fd.count", len(fds))
-            logger.debug(
-                "cover cache hit for %s: %d FDs reused", keys.cover,
-                len(fds),
-            )
-            return self._finalize(
-                agree, max_sets, cmax, lhs_sets, fds, schema, num_rows,
-                relation, stats, tracer, metrics, mark,
-            )
-
-        stats: Dict[str, int] = {}
-        with tracer.span("cache.lookup", stage="agree"):
-            entry = store.get("agree", keys.agree, guard, metrics=metrics)
-        if entry is not None:
-            agree, stats = unpack_agree(entry)
-            metrics.gauge("agree.sets", len(agree))
             executor = self._make_executor(tracer, metrics)
+            if self.backend == "columnar":
+                from repro.columnar.pipeline import columnar_agree_phases
+
+                agree = columnar_agree_phases(
+                    relation, self.nulls_equal, self.jobs, tracer, metrics,
+                    stats,
+                )
+            else:
+                spdb = self._strip(relation, keys, guard, tracer, metrics)
+                agree = self._agree_phase(
+                    spdb, tracer, metrics, stats, executor
+                )
+            if keys is not None:
+                from repro.cache.artifacts import pack_agree
+
+                self.cache.put(
+                    "agree", keys.agree, guard, pack_agree(agree, stats),
+                    metrics=metrics,
+                )
             return self._complete(
                 agree, schema, num_rows, relation, stats, tracer, metrics,
-                executor, mark, _keys=keys, _guard=guard,
+                executor, mark, keys, guard,
             )
 
-        with tracer.span("cache.lookup", stage="partitions"):
-            payload = store.get(
-                "partitions", keys.partitions, guard, metrics=metrics
-            )
-        if payload is not None:
-            spdb = unpack_partitions(payload)
-        else:
-            with tracer.span("strip", phase=True):
-                spdb = StrippedPartitionDatabase.from_relation(
-                    relation, nulls_equal=self.nulls_equal, metrics=metrics
+    def stage_keys(self, relation_key: str, schema: Schema, num_rows: int):
+        """The cache's ``(PipelineKeys, guard)`` pair for a relation.
+
+        *relation_key* is the relation's content fingerprint; the stage
+        keys fold in this miner's options and the guard the schema and
+        row count (see ``docs/caching.md``).
+        """
+        from repro.cache.codec import guard_digest
+        from repro.cache.fingerprint import PipelineKeys
+
+        return (PipelineKeys.for_miner(relation_key, self),
+                guard_digest(schema.names, num_rows))
+
+    def _strip(self, relation: Relation, keys, guard: Optional[bytes],
+               tracer: Tracer,
+               metrics: MetricsRegistry) -> StrippedPartitionDatabase:
+        """The python backend's stripped partitions of *relation*.
+
+        With stage *keys* (a cached run) they are read from, or else
+        written to, the partitions tier — a tier only this backend has.
+        """
+        if keys is not None:
+            from repro.cache.artifacts import pack_partitions, unpack_partitions
+
+            with tracer.span("cache.lookup", stage="partitions"):
+                payload = self.cache.get(
+                    "partitions", keys.partitions, guard, metrics=metrics
                 )
-            store.put(
+            if payload is not None:
+                return unpack_partitions(payload)
+        with tracer.span("strip", phase=True) as strip_span:
+            spdb = StrippedPartitionDatabase.from_relation(
+                relation, nulls_equal=self.nulls_equal, metrics=metrics
+            )
+        logger.debug(
+            "stripped %d attributes over %d rows into %d classes (%.3fs)",
+            len(relation.schema), len(relation), spdb.total_classes(),
+            strip_span.duration,
+        )
+        if keys is not None:
+            self.cache.put(
                 "partitions", keys.partitions, guard,
                 pack_partitions(spdb), metrics=metrics,
             )
-        metrics.gauge("partition.stripped_classes", spdb.total_classes())
-        executor = self._make_executor(tracer, metrics)
-        agree = self._agree_phase(spdb, tracer, metrics, stats, executor)
-        store.put(
-            "agree", keys.agree, guard, pack_agree(agree, stats),
-            metrics=metrics,
-        )
-        return self._complete(
-            agree, schema, num_rows, relation, stats, tracer, metrics,
-            executor, mark, _keys=keys, _guard=guard,
-        )
+        return spdb
 
     def run_on_partitions(self, spdb: StrippedPartitionDatabase,
-                          relation: Optional[Relation] = None,
-                          _tracer: Optional[Tracer] = None,
-                          _mark: Optional[int] = None) -> DepMinerResult:
+                          relation: Optional[Relation] = None) -> DepMinerResult:
         """Execute steps 1–5 on a pre-built stripped partition database.
 
         *relation* is only needed for the real-world Armstrong step (its
-        values come from the initial relation); passing ``None`` degrades
-        ``"real-world"``/``"strict"`` to the classical construction.
+        values come from the initial relation): without it
+        ``"real-world"`` degrades to the classical construction and
+        ``"strict"`` raises :class:`ReproError`.  The cache is never
+        consulted (there is no relation to fingerprint).
         """
-        schema = spdb.schema
-        tracer = _tracer if _tracer is not None else self._begin_trace()
-        mark = _mark if _mark is not None else tracer.mark()
+        tracer = self._begin_trace()
+        mark = tracer.mark()
         metrics = self.metrics if self.metrics is not None else NULL_METRICS
         stats: Dict[str, int] = {}
-
-        metrics.gauge("partition.stripped_classes", spdb.total_classes())
         executor = self._make_executor(tracer, metrics)
         agree = self._agree_phase(spdb, tracer, metrics, stats, executor)
         return self._complete(
-            agree, schema, spdb.num_rows, relation, stats, tracer, metrics,
-            executor, mark,
+            agree, spdb.schema, spdb.num_rows, relation, stats, tracer,
+            metrics, executor, mark,
         )
 
     def derive_from_agree_sets(self, agree, schema: Schema, num_rows: int,
@@ -555,24 +574,22 @@ class DepMiner:
             keys = guard = None
             if self.cache is not None and relation_key is not None:
                 from repro.cache.artifacts import pack_agree
-                from repro.cache.codec import guard_digest
-                from repro.cache.fingerprint import PipelineKeys
 
-                keys = PipelineKeys.for_miner(relation_key, self)
-                guard = guard_digest(schema.names, num_rows)
+                keys, guard = self.stage_keys(relation_key, schema, num_rows)
                 self.cache.put(
                     "agree", keys.agree, guard, pack_agree(agree, stats),
                     metrics=metrics,
                 )
             return self._complete(
                 agree, schema, num_rows, relation, stats, tracer, metrics,
-                executor, mark, _keys=keys, _guard=guard,
+                executor, mark, keys, guard,
             )
 
     def _agree_phase(self, spdb: StrippedPartitionDatabase, tracer: Tracer,
                      metrics: MetricsRegistry, stats: Dict[str, int],
                      executor: Optional[ShardedExecutor]):
         """Step 1: ``ag(r)`` from the stripped partitions (serial/sharded)."""
+        metrics.gauge("partition.stripped_classes", spdb.total_classes())
         with tracer.span("agree_sets", phase=True,
                          algorithm=self.agree_algorithm,
                          jobs=self.jobs) as agree_span:
@@ -613,8 +630,9 @@ class DepMiner:
                   relation: Optional[Relation], stats: Dict[str, int],
                   tracer: Tracer, metrics: MetricsRegistry,
                   executor: Optional[ShardedExecutor], mark: int,
-                  _keys=None, _guard: Optional[bytes] = None) -> DepMinerResult:
-        """Steps 2–4 (cmax, lhs, FD output) plus the cache write-back.
+                  keys=None, guard: Optional[bytes] = None) -> DepMinerResult:
+        """Steps 2–4 (cmax, lhs, FD output), the cover write-back under
+        the stage *keys* of a cached run, then step 5.
 
         Shared by both backends; the columnar one derives the serial
         cmax from lane-packed masks (:mod:`repro.columnar.cmax`).
@@ -678,11 +696,11 @@ class DepMiner:
             num_rows, sum(tracer.phase_seconds(mark).values()),
         )
 
-        if _keys is not None and self.cache is not None:
+        if keys is not None:
             from repro.cache.artifacts import pack_cover
 
             self.cache.put(
-                "cover", _keys.cover, _guard,
+                "cover", keys.cover, guard,
                 pack_cover(agree, max_sets, cmax, lhs_sets, fds, stats),
                 metrics=metrics,
             )
@@ -701,25 +719,25 @@ class DepMiner:
         union = max_set_union(max_sets)
         armstrong = None
         classical = None
-        with tracer.span("armstrong", phase=True, mode=self.build_armstrong):
-            if self.build_armstrong != "none":
-                if self.backend == "columnar":
-                    armstrong, classical = self._armstrong_columnar(
-                        schema, union, relation, tracer
-                    )
-                else:
-                    classical = classical_armstrong(schema, union)
-                    if self.build_armstrong in ("real-world", "strict"):
-                        if relation is None:
-                            if self.build_armstrong == "strict":
-                                raise ReproError(
-                                    "strict real-world Armstrong generation "
-                                    "needs the initial relation, not just "
-                                    "its partitions"
-                                )
-                        elif self.build_armstrong == "strict" or \
-                                real_world_armstrong_exists(relation, union):
-                            armstrong = real_world_armstrong(relation, union)
+        mode = self.build_armstrong
+        with tracer.span("armstrong", phase=True, mode=mode):
+            if mode != "none":
+                build_classical, deficits_of, build_real_world = \
+                    self._armstrong_constructions()
+                with tracer.span("armstrong.build", construction="classical"):
+                    classical = build_classical(schema, union)
+                if mode in ("real-world", "strict"):
+                    if relation is None:
+                        if mode == "strict":
+                            raise ReproError(
+                                "strict real-world Armstrong generation "
+                                "needs the initial relation, not just its "
+                                "partitions"
+                            )
+                    elif mode == "strict" or not deficits_of(relation, union):
+                        with tracer.span("armstrong.build",
+                                         construction="real-world"):
+                            armstrong = build_real_world(relation, union)
                 if armstrong is not None:
                     metrics.gauge("armstrong.tuples", len(armstrong))
 
@@ -741,38 +759,26 @@ class DepMiner:
             trace=tracer,
         )
 
-    def _armstrong_columnar(self, schema: Schema, union, relation,
-                            tracer: Tracer):
-        """Step 5 on the columnar backend: the vectorized constructions
-        of :mod:`repro.columnar.armstrong`, bit-identical to the
-        row-wise ones.  *relation* may be a :class:`Relation`, a
-        :class:`repro.columnar.ingest.CodedRelation` (domains read off
-        the code matrix, no materialization), or ``None``.
-        """
-        from repro.columnar.armstrong import (
-            classical_armstrong_columnar,
-            existence_deficits,
-            real_world_armstrong_columnar,
-        )
+    def _armstrong_constructions(self):
+        """Step 5's ``(classical, existence deficits, real-world)``
+        functions on this backend.
 
-        armstrong = None
-        with tracer.span("armstrong.build", construction="classical"):
-            classical = classical_armstrong_columnar(schema, union)
-        if self.build_armstrong in ("real-world", "strict"):
-            if relation is None:
-                if self.build_armstrong == "strict":
-                    raise ReproError(
-                        "strict real-world Armstrong generation needs "
-                        "the initial relation, not just its partitions"
-                    )
-            elif self.build_armstrong == "strict" or \
-                    not existence_deficits(relation, union):
-                with tracer.span("armstrong.build",
-                                 construction="real-world"):
-                    armstrong = real_world_armstrong_columnar(
-                        relation, union
-                    )
-        return armstrong, classical
+        The columnar ones (:mod:`repro.columnar.armstrong`) are
+        vectorized and bit-identical to the row-wise ones; they also
+        read domains off a :class:`repro.columnar.ingest.CodedRelation`
+        without materializing it.
+        """
+        if self.backend == "columnar":
+            from repro.columnar.armstrong import (
+                classical_armstrong_columnar,
+                existence_deficits,
+                real_world_armstrong_columnar,
+            )
+
+            return (classical_armstrong_columnar, existence_deficits,
+                    real_world_armstrong_columnar)
+        return (classical_armstrong, real_world_existence_deficits,
+                real_world_armstrong)
 
 
 def discover(relation: Relation, **options) -> DepMinerResult:

@@ -40,10 +40,6 @@ class StorageError(ReproError):
     """Storage-layer failure (unknown table, malformed CSV, bad types)."""
 
 
-class QueryError(StorageError):
-    """A query against the storage layer was invalid."""
-
-
 class BenchmarkError(ReproError):
     """A benchmark experiment was misconfigured."""
 

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.exporters import parse_jsonl
 from repro.obs.manifest import MANIFEST_FORMAT, RunManifest
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Tracer, span_records
 
 __all__ = [
     "load_trace",
@@ -50,14 +50,9 @@ SpanSource = Union[Tracer, Sequence[Any], Dict[str, Any]]
 
 
 def _records(source: SpanSource) -> List[Dict[str, Any]]:
-    if isinstance(source, Tracer):
-        return [span.to_record() for span in source.iter_tree()]
     if isinstance(source, dict):  # a load_trace() document
         source = source.get("spans", [])
-    return [
-        span.to_record() if isinstance(span, Span) else dict(span)
-        for span in source
-    ]
+    return span_records(source)
 
 
 def load_trace(path: Union[str, Path]) -> Dict[str, Any]:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span, Tracer, span_records
 
 __all__ = [
     "TRACE_FORMAT",
@@ -47,17 +47,6 @@ _SPAN_REQUIRED = ("id", "name", "depth", "start", "duration", "status",
 _METRIC_KINDS = ("counter", "gauge", "histogram")
 
 
-def _span_records(source: Union[Tracer, Sequence[Span]]) -> List[Dict[str, Any]]:
-    if isinstance(source, Tracer):
-        spans = list(source.iter_tree())
-    else:
-        spans = list(source)
-    return [
-        span.to_record() if isinstance(span, Span) else dict(span)
-        for span in spans
-    ]
-
-
 def trace_records(tracer: Optional[Union[Tracer, Sequence[Span]]] = None,
                   metrics: Optional[MetricsRegistry] = None,
                   meta: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
@@ -72,7 +61,7 @@ def trace_records(tracer: Optional[Union[Tracer, Sequence[Span]]] = None,
         head.update(meta)
     records: List[Dict[str, Any]] = [head]
     if tracer is not None:
-        records.extend(_span_records(tracer))
+        records.extend(span_records(tracer))
     if metrics is not None:
         records.extend(metrics.to_records())
     return records
@@ -180,15 +169,6 @@ def validate_records(records: Sequence[Dict[str, Any]]) -> List[str]:
     return problems
 
 
-def _as_records(spans: Union[Tracer, Sequence[Any]]) -> List[Dict[str, Any]]:
-    if isinstance(spans, Tracer):
-        return _span_records(spans)
-    return [
-        span.to_record() if isinstance(span, Span) else dict(span)
-        for span in spans
-    ]
-
-
 def flame_text(spans: Union[Tracer, Sequence[Any]], width: int = 40) -> str:
     """Flame-style text summary: indented span tree with duration bars.
 
@@ -196,7 +176,7 @@ def flame_text(spans: Union[Tracer, Sequence[Any]], width: int = 40) -> str:
     records; the bar of each span is proportional to its share of the
     root's duration.
     """
-    records = _as_records(spans)
+    records = span_records(spans)
     if not records:
         return "(no spans)"
     total = max(
@@ -217,7 +197,7 @@ def flame_text(spans: Union[Tracer, Sequence[Any]], width: int = 40) -> str:
 
 def spans_markdown(spans: Union[Tracer, Sequence[Any]]) -> str:
     """Markdown table of spans (for reports)."""
-    records = _as_records(spans)
+    records = span_records(spans)
     lines = ["| span | depth | duration (s) | status |", "|---|---|---|---|"]
     for record in records:
         indent = "&nbsp;&nbsp;" * record["depth"]

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Tracer, span_records
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -115,19 +115,6 @@ def relation_summary(relation: Any, nulls_equal: bool = True,
     }
 
 
-def _span_records(tracer: Optional[Union[Tracer, List[Any]]]) -> List[Dict]:
-    if tracer is None:
-        return []
-    if isinstance(tracer, Tracer):
-        spans: List[Any] = list(tracer.iter_tree())
-    else:
-        spans = list(tracer)
-    return [
-        span.to_record() if isinstance(span, Span) else dict(span)
-        for span in spans
-    ]
-
-
 @dataclass
 class RunManifest:
     """One run's telemetry, ready to serialize (see the module doc)."""
@@ -164,7 +151,7 @@ class RunManifest:
         :class:`~repro.obs.resources.ResourceSampler` or a pre-built
         summary dict.
         """
-        spans = _span_records(tracer)
+        spans = span_records(tracer)
         phases: Dict[str, float] = {}
         for record in spans:
             if record.get("attrs", {}).get("phase"):

@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-__all__ = ["Span", "Tracer", "NULL_TRACER"]
+__all__ = ["Span", "Tracer", "NULL_TRACER", "span_records"]
 
 
 class Span:
@@ -91,6 +91,19 @@ class Span:
             f"Span({self.name!r}, {self.duration:.6f}s, "
             f"depth={self.depth}, status={self.status})"
         )
+
+
+def span_records(source) -> List[Dict[str, Any]]:
+    """Span records of a :class:`Tracer` (in tree order), a span
+    sequence, or already-parsed records (copied); ``None`` has none."""
+    if source is None:
+        return []
+    if isinstance(source, Tracer):
+        source = source.iter_tree()
+    return [
+        span.to_record() if isinstance(span, Span) else dict(span)
+        for span in source
+    ]
 
 
 class _SpanContext:

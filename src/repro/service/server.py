@@ -53,6 +53,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.cache.incremental import IncrementalMiner
 from repro.cache.store import ArtifactStore
+from repro.columnar import load_mining_input
 from repro.core.armstrong import (
     classical_armstrong,
     real_world_armstrong,
@@ -84,7 +85,6 @@ from repro.service.protocol import (
     relation_document,
 )
 from repro.service.sessions import Session, SessionRegistry
-from repro.storage.csv_io import relation_from_csv
 
 logger = logging.getLogger(__name__)
 
@@ -362,19 +362,11 @@ class ServiceApp:
 
     def _ingest(self, path: Path, options: Dict[str, Any],
                 tracer: Tracer):
-        if options.get("backend") == "columnar":
-            from repro.columnar import numpy_available
-
-            if numpy_available():
-                from repro.columnar.ingest import ingest_csv
-
-                return ingest_csv(
-                    path,
-                    nulls_equal=options.get("nulls_equal", True),
-                    fingerprint=True,
-                    tracer=tracer,
-                )
-        return relation_from_csv(path)
+        return load_mining_input(
+            path, options.get("backend", "python"),
+            nulls_equal=options.get("nulls_equal", True),
+            fingerprint=True, tracer=tracer,
+        )
 
     def _append(self, session: Session, payload: Dict[str, Any],
                 tracer: Tracer,

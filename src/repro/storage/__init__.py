@@ -1,5 +1,6 @@
-"""Storage substrate: typed column tables, CSV I/O, a database catalog,
-and a minimal query interface (the ODBC/DBMS substitution)."""
+"""Storage substrate: typed column tables, CSV I/O and a database
+catalog (the ODBC/DBMS substitution).  Slice a table through its
+relation view: ``table.to_relation().select(...).project([...])``."""
 
 from repro.storage.csv_io import (
     read_csv,
@@ -8,18 +9,12 @@ from repro.storage.csv_io import (
     write_csv,
 )
 from repro.storage.database import Database
-from repro.storage.query import Query
-from repro.storage.sql import SelectStatement, execute_sql, parse_select
 from repro.storage.table import Column, Table, coerce_value, infer_type
 
 __all__ = [
     "Column",
     "Table",
     "Database",
-    "Query",
-    "execute_sql",
-    "parse_select",
-    "SelectStatement",
     "read_csv",
     "write_csv",
     "relation_from_csv",

@@ -416,7 +416,8 @@ class TestFingerprint:
 
 
 class TestCachedDepMiner:
-    def rows(self, seed, count, width=5, values=4):
+    @staticmethod
+    def rows(seed, count, width=5, values=4):
         import random
 
         rng = random.Random(seed)
@@ -511,6 +512,73 @@ class TestCachedDepMiner:
         spdb = StrippedPartitionDatabase.from_relation(relation)
         miner.run_on_partitions(spdb, relation=relation)
         assert store.stats["cache.hit"] == store.stats["cache.miss"] == 0
+
+
+class TestOneCacheProtocol:
+    """Both backends go through the one cached ``DepMiner.run``.
+
+    Cold → warm → row-shuffled → another transversal method, all on one
+    store: the ordered ``cache.lookup`` stages and the store counters
+    pin the protocol — cover, then agree, then (python only) the
+    partitions tier.
+    """
+
+    COLD_STAGES = {
+        "python": ["cover", "agree", "partitions"],
+        "columnar": ["cover", "agree"],
+    }
+
+    def mine(self, store, rows, backend, **options):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        result = DepMiner(
+            backend=backend, build_armstrong="none", cache=store,
+            tracer=tracer, metrics=metrics, **options
+        ).run(Relation.from_rows(Schema.of_width(5), rows))
+        stages = [span.attrs["stage"] for span in tracer.find("cache.lookup")]
+        full_hits = metrics.snapshot()["counters"].get("cache.full_hit", 0)
+        return result, stages, full_hits
+
+    @pytest.mark.parametrize("backend", sorted(COLD_STAGES))
+    def test_cold_warm_shuffled_berge(self, backend):
+        from repro.columnar import numpy_available
+
+        if backend == "columnar" and not numpy_available():
+            pytest.skip("columnar backend needs NumPy")
+        rows = TestCachedDepMiner.rows(7, 60)
+        plain = DepMiner(build_armstrong="none").run(
+            Relation.from_rows(Schema.of_width(5), rows)
+        )
+        store = ArtifactStore()
+        cold_stages = self.COLD_STAGES[backend]
+
+        cold, stages, full_hits = self.mine(store, rows, backend)
+        assert stages == cold_stages
+        assert full_hits == 0
+        assert store.stats["cache.hit"] == 0
+        assert store.stats["cache.miss"] == len(cold_stages)
+        assert store.stats["cache.put"] == len(cold_stages)
+
+        for label, replay in (("warm", rows), ("shuffled", rows[::-1])):
+            result, stages, full_hits = self.mine(store, replay, backend)
+            assert stages == ["cover"], label
+            assert full_hits == 1, label
+            assert_same_mining(plain, result)
+        assert store.stats["cache.hit"] == 2
+        assert store.stats["cache.put"] == len(cold_stages)
+
+        berge, stages, full_hits = self.mine(
+            store, rows, backend, transversal_algorithm="berge"
+        )
+        assert stages == ["cover", "agree"]   # ag(r) shared, cover not
+        assert full_hits == 0
+        assert store.stats["cache.hit"] == 3
+        assert store.stats["cache.miss"] == len(cold_stages) + 1
+        assert store.stats["cache.put"] == len(cold_stages) + 1
+        for result in (cold, berge):
+            assert_same_mining(plain, result)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,24 @@ class TestArmstrongModes:
         result = DepMiner(build_armstrong="strict").run(paper_relation)
         assert result.armstrong is not None
 
+    def test_armstrong_build_child_spans(self, paper_relation):
+        from repro.obs import Tracer
+
+        deficient = Relation.from_rows(
+            Schema.of_width(3), [(0, 0, 0), (1, 0, 1), (1, 1, 0)]
+        )
+        for relation, expected in ((paper_relation,
+                                    ["classical", "real-world"]),
+                                   (deficient, ["classical"])):
+            tracer = Tracer()
+            DepMiner(tracer=tracer).run(relation)
+            builds = tracer.find("armstrong.build")
+            assert [span.attrs["construction"] for span in builds] == \
+                expected
+            (armstrong,) = tracer.find("armstrong")
+            assert all(span.parent_id == armstrong.span_id
+                       for span in builds)
+
 
 class TestRunOnPartitions:
     def test_without_relation_degrades_to_classical(self, paper_relation):
