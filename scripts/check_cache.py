@@ -17,7 +17,10 @@ cache actually worked:
   with zero writes;
 - the **append** trace recorded ``incremental.rows_appended`` and a
   delta sweep (``incremental.delta_couples`` present), i.e. the appended
-  rows took the incremental path rather than a cold re-mine.
+  rows took the incremental path rather than a cold re-mine, and exactly
+  2 artefact writes on either backend: the initial mine is a full hit
+  and the append publishes the grown relation's agree sets and cover,
+  never its stripped partitions.
 
 Exits non-zero with one line per problem.
 """
@@ -62,6 +65,8 @@ def check(cold: dict, warm: dict, append: dict, cold_puts: int = 3) -> list:
            ">= 1 appended row")
     expect("append", "incremental.delta_couples", append, lambda v: v >= 0,
            "a delta sweep record")
+    expect("append", "cache.put", append, lambda v: v == 2,
+           "2 artefact writes (agree sets and cover)")
     if "incremental.delta_couples" not in append:
         problems.append(
             "append: counter incremental.delta_couples missing — the "

@@ -21,9 +21,10 @@ The output is identical to a cold ``DepMiner.run`` on the concatenated
 relation — the differential/hypothesis tests assert agree sets, cmax
 families and FD covers are equal for arbitrary append sequences.  When
 the wrapped miner carries an :class:`~repro.cache.store.ArtifactStore`,
-each append also publishes the updated artefacts under the *grown*
-relation's content keys, so a later cold run over the same data is a
-warm hit.
+each append also publishes the grown relation's ``ag(r)`` and cover
+under its content keys, so a later cold run over the same data is a
+warm hit: it finds the cover first.  No stripped partitions are
+published; neither backend would read them under a grown key.
 
 Parallelism: the delta couples resolve in-process at every ``jobs``
 value, on both backends — an append's delta is at most appended rows ×
@@ -60,7 +61,7 @@ from repro.core.agree_sets import (
 from repro.core.depminer import DepMiner, DepMinerResult
 from repro.core.relation import Relation
 from repro.errors import CacheError, ReproError
-from repro.obs import NULL_METRICS, MetricsRegistry, Tracer, get_logger
+from repro.obs import NULL_METRICS, Tracer, get_logger
 from repro.partitions.database import StrippedPartitionDatabase
 from repro.partitions.partition import StrippedPartition
 
@@ -127,10 +128,17 @@ class IncrementalMiner:
                 if value is None and not self.miner.nulls_equal:
                     continue
                 groups.setdefault(value, []).append(row)
-        self._fingerprint = RelationFingerprint(
-            self._schema, self.miner.nulls_equal
-        )
-        self._fingerprint.update_columns(self._columns)
+        if coded is not None:
+            # The ingest's fingerprint, copied: appends fold rows into
+            # ours and must never move the coded relation's memoized key.
+            self._fingerprint = coded.fingerprint(
+                self.miner.nulls_equal
+            ).copy()
+        else:
+            self._fingerprint = RelationFingerprint(
+                self._schema, self.miner.nulls_equal
+            )
+            self._fingerprint.update_columns(self._columns)
         # append() mutates the value -> rows maps, the columns and the
         # fingerprint across many non-atomic steps; the mutex serializes
         # overlapping appends (concurrent service sessions) and the
@@ -214,12 +222,9 @@ class IncrementalMiner:
         with tracer.span("incremental.append", new_rows=n_new,
                          total_rows=n_old + n_new):
             touched = self._absorb(rows)
-            spdb = self._current_spdb()
             with tracer.span("incremental.delta_sweep") as sweep_span:
                 delta_couples = self._delta_couples(touched, n_old)
-                delta_masks = self._resolve_delta(
-                    sorted(delta_couples), spdb
-                )
+                delta_masks = self._resolve_delta(sorted(delta_couples))
             # Every possible delta pair holds >= 1 new row; one that was
             # never visited shares no equivalence class, i.e. disagrees
             # on every attribute (the cold algorithms' ∅ test, restricted
@@ -244,8 +249,6 @@ class IncrementalMiner:
             self._stats["num_agree_sets"] = len(self._agree)
             relation = self.relation()
             relation_key = self._fingerprint.key
-            if miner.cache is not None:
-                self._publish_partitions(relation_key, spdb, metrics)
         self._result = miner.derive_from_agree_sets(
             self._agree, self._schema, self._num_rows,
             relation=relation, stats=self._stats,
@@ -402,12 +405,12 @@ class IncrementalMiner:
             self._schema, partitions, self._num_rows
         )
 
-    def _resolve_delta(self, couples: List[Tuple[int, int]],
-                       spdb: StrippedPartitionDatabase) -> Set[int]:
+    def _resolve_delta(self, couples: List[Tuple[int, int]]) -> Set[int]:
         """Agree-set masks of the delta couples, resolved in-process.
 
         Reuses the exact resolution functions of the cold pipeline, so
-        the delta path inherits its determinism guarantees.
+        the delta path inherits its determinism guarantees.  Only the
+        pure-Python resolution reads stripped partitions.
         """
         if not couples:
             return set()
@@ -423,26 +426,13 @@ class IncrementalMiner:
             pairs = np.asarray(couples, dtype=np.int64)
             return resolve_couples(class_matrix(self._codes()),
                                    pairs[:, 0], pairs[:, 1])
+        spdb = self._current_spdb()
         if self.miner.agree_algorithm == "identifiers":
             return resolve_couples_with_identifiers(
                 couples, spdb.equivalence_class_identifiers()
             )
         return resolve_couples_with_tables(
             couples, build_class_index_tables(spdb)
-        )
-
-    def _publish_partitions(self, relation_key: str,
-                            spdb: StrippedPartitionDatabase,
-                            metrics: MetricsRegistry) -> None:
-        """Store the updated ``r̂`` under the grown relation's key."""
-        from repro.cache.artifacts import pack_partitions
-
-        keys, guard = self.miner.stage_keys(
-            relation_key, self._schema, self._num_rows
-        )
-        self.miner.cache.put(
-            "partitions", keys.partitions, guard, pack_partitions(spdb),
-            metrics=metrics,
         )
 
     def __repr__(self) -> str:

@@ -84,7 +84,7 @@ class CodedRelation:
 
     __slots__ = ("schema", "codes", "name", "nulls_equal", "_uniques",
                  "_uniques_lists", "_relation", "_distinct",
-                 "_fingerprint_keys")
+                 "_fingerprints")
 
     def __init__(self, schema: Schema, codes: "np.ndarray",
                  uniques: Sequence[Any], nulls_equal: bool = True,
@@ -107,7 +107,7 @@ class CodedRelation:
         ]
         self._relation: Optional[Relation] = None
         self._distinct: dict = {}
-        self._fingerprint_keys: dict = {}
+        self._fingerprints: dict = {}
 
     # -- shape ---------------------------------------------------------------
 
@@ -164,6 +164,29 @@ class CodedRelation:
 
     # -- fingerprint ---------------------------------------------------------
 
+    def fingerprint(self, nulls_equal: Optional[bool] = None):
+        """The :class:`~repro.cache.fingerprint.RelationFingerprint` of
+        the rows, folded from the codes once per null semantics.
+
+        The returned object is the memoized one: a caller that goes on
+        folding rows into it must :meth:`copy` it first.
+        """
+        if nulls_equal is None:
+            nulls_equal = self.nulls_equal
+        fingerprint = self._fingerprints.get(nulls_equal)
+        if fingerprint is None:
+            from repro.cache.fingerprint import RelationFingerprint
+
+            fingerprint = RelationFingerprint(self.schema, nulls_equal)
+            # Decoded (Python-typed) uniques: value digests are
+            # type-tagged, so np.int64 slots must become plain ints.
+            fingerprint.update_codes(
+                self.codes,
+                [self.uniques(a) for a in range(len(self.schema))],
+            )
+            self._fingerprints[nulls_equal] = fingerprint
+        return fingerprint
+
     def fingerprint_key(self, nulls_equal: Optional[bool] = None) -> str:
         """The cache fingerprint, computed from codes (memoized).
 
@@ -171,23 +194,7 @@ class CodedRelation:
         without ever materializing the relation (the equality is a
         hypothesis property in ``tests/test_ingest.py``).
         """
-        if nulls_equal is None:
-            nulls_equal = self.nulls_equal
-        key = self._fingerprint_keys.get(nulls_equal)
-        if key is None:
-            from repro.cache.fingerprint import fingerprint_from_codes
-
-            # Decoded (Python-typed) uniques: value digests are
-            # type-tagged, so np.int64 slots must become plain ints.
-            decoded = [
-                self.uniques(a) for a in range(len(self.schema))
-            ]
-            key = fingerprint_from_codes(
-                self.codes, decoded, self.schema,
-                nulls_equal=nulls_equal,
-            )
-            self._fingerprint_keys[nulls_equal] = key
-        return key
+        return self.fingerprint(nulls_equal).key
 
     def __repr__(self) -> str:
         return (

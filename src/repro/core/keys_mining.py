@@ -17,31 +17,29 @@ and the tests assert that.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List
 
 from repro.core.agree_sets import agree_sets
-from repro.core.attributes import AttributeSet
+from repro.core.attributes import AttributeSet, Schema
 from repro.core.relation import Relation
 from repro.hypergraph.hypergraph import maximize_sets
 from repro.hypergraph.transversals import minimal_transversals
 from repro.partitions.database import StrippedPartitionDatabase
 
-__all__ = ["discover_keys"]
+__all__ = ["discover_keys", "keys_from_agree_sets"]
 
 
-def discover_keys(relation: Relation, method: str = "levelwise",
-                  nulls_equal: bool = True) -> List[AttributeSet]:
-    """All minimal unique column combinations of *relation*.
+def keys_from_agree_sets(agree: Iterable[int], schema: Schema,
+                         method: str = "kernel") -> List[AttributeSet]:
+    """The minimal keys of a relation whose ``ag(r)`` is *agree*.
 
-    Duplicate tuples make the result empty (nothing distinguishes them,
-    so no attribute set is unique); an empty or single-tuple relation is
-    keyed by the empty set.  *method* picks the transversal algorithm.
+    ``Tr({R \\ X : X ∈ Max⊆ ag(r)})``, sorted by mask.  An agree set
+    equal to the universe means duplicate tuples: nothing distinguishes
+    them, so no attribute set is unique and the result is empty.  No
+    agree set at all (an empty or single-tuple relation) leaves the
+    empty hypergraph, keyed by the empty set.  *method* picks the
+    transversal algorithm; every method returns the same list.
     """
-    spdb = StrippedPartitionDatabase.from_relation(
-        relation, nulls_equal=nulls_equal
-    )
-    agree = agree_sets(spdb)
-    schema = relation.schema
     universe = schema.universe_mask
     maximal_agree = maximize_sets(agree)
     if universe in maximal_agree:
@@ -51,3 +49,19 @@ def discover_keys(relation: Relation, method: str = "levelwise",
         AttributeSet(schema, mask)
         for mask in minimal_transversals(edges, len(schema), method=method)
     ]
+
+
+def discover_keys(relation: Relation, method: str = "kernel",
+                  nulls_equal: bool = True) -> List[AttributeSet]:
+    """All minimal unique column combinations of *relation*.
+
+    Strips the relation, sweeps its agree sets and hands them to
+    :func:`keys_from_agree_sets`: duplicate tuples make the result
+    empty, an empty or single-tuple relation is keyed by the empty set.
+    *method* picks the transversal algorithm.
+    """
+    spdb = StrippedPartitionDatabase.from_relation(
+        relation, nulls_equal=nulls_equal
+    )
+    return keys_from_agree_sets(agree_sets(spdb), relation.schema,
+                                method=method)

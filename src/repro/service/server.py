@@ -60,7 +60,7 @@ from repro.core.armstrong import (
     real_world_armstrong_exists,
 )
 from repro.core.depminer import DepMiner
-from repro.core.keys_mining import discover_keys
+from repro.core.keys_mining import keys_from_agree_sets
 from repro.core.relation import Relation, Schema
 from repro.errors import ReproError, ServiceError
 from repro.obs.manifest import RunManifest
@@ -75,7 +75,6 @@ from repro.service import protocol
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     SERVICE_NAME,
-    cover_document,
     error_document,
     http_status_for,
     keys_document,
@@ -314,11 +313,12 @@ class ServiceApp:
             return Session(session_id, name, incremental, options)
 
         session = self.registry.register(name, build)
-        document = {
-            "session": session.document(),
-            "cover": cover_document(session.miner.result),
-            "counters": metrics.snapshot()["counters"],
-        }
+        with session.lock:
+            document = {
+                "session": session.document(),
+                "cover": session.cover_document(),
+                "counters": metrics.snapshot()["counters"],
+            }
         return document, 201
 
     def _load_source(self, payload: Dict[str, Any],
@@ -381,7 +381,7 @@ class ServiceApp:
             session.appends += 1
             document = {
                 "session": session.document(),
-                "cover": cover_document(session.miner.result),
+                "cover": session.cover_document(),
             }
         return document, 200
 
@@ -391,7 +391,7 @@ class ServiceApp:
             session.requests += 1
             document = {
                 "session": session.document(),
-                "cover": cover_document(session.miner.result),
+                "cover": session.cover_document(),
                 "counters": metrics.snapshot()["counters"],
             }
         return document, 200
@@ -401,10 +401,11 @@ class ServiceApp:
         with session.lock:
             session.requests += 1
             with tracer.span("service.keys"):
-                keys = discover_keys(
-                    session.miner.relation(),
-                    nulls_equal=session.miner.miner.nulls_equal,
-                )
+                # ag(r) was mined under the session's null semantics,
+                # so the keys need no re-strip of the grown relation.
+                result = session.miner.result
+                keys = keys_from_agree_sets(result.agree_sets,
+                                            result.schema)
             document = keys_document(keys)
             document["session"] = session.document()
         return document, 200

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.cache.incremental import IncrementalMiner
 from repro.errors import SessionLimitError, SessionNotFoundError
+from repro.service import protocol
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +56,8 @@ class Session:
         self.last_used = time.monotonic()
         self.appends = 0
         self.requests = 0
+        self._cover_result = None
+        self._cover: Dict[str, Any] = {}
 
     def touch(self) -> None:
         self.last_used = time.monotonic()
@@ -81,6 +84,19 @@ class Session:
             yield miner
         finally:
             miner.tracer, miner.metrics = saved
+
+    def cover_document(self) -> Dict[str, Any]:
+        """The cover document of the miner's current result.
+
+        Built once per result: only an append replaces the result, so
+        every read in between serves the same document.  Callers hold
+        ``self.lock`` and must not mutate what they get.
+        """
+        result = self.miner.result
+        if self._cover_result is not result:
+            self._cover = protocol.cover_document(result)
+            self._cover_result = result
+        return self._cover
 
     def document(self) -> Dict[str, Any]:
         """The JSON description of this session (no cover payload)."""

@@ -706,3 +706,101 @@ class TestIncrementalMiner:
         )
         assert_same_mining(cold, result)
         assert (result.armstrong is None) == (cold.armstrong is None)
+
+
+class TestLeanAppend:
+    """An append publishes the grown relation's ``agree`` and ``cover``
+    artefacts only; a later cold run on the grown data still hits."""
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_append_publishes_agree_and_cover_only(self, backend,
+                                                   monkeypatch):
+        from repro.columnar import numpy_available
+        from repro.partitions.partition import StrippedPartition
+
+        if backend == "columnar" and not numpy_available():
+            pytest.skip("columnar backend needs NumPy")
+        schema = Schema.of_width(5)
+        rows = TestCachedDepMiner.rows(8, 60)
+        store = ArtifactStore()
+        incremental = IncrementalMiner(
+            Relation.from_rows(schema, rows[:40]),
+            miner=DepMiner(backend=backend, build_armstrong="none",
+                           cache=store),
+        )
+        built = []
+        init = StrippedPartition.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StrippedPartition, "__init__", counting_init)
+        for start in (40, 50):
+            puts = store.stats["cache.put"]
+            result = incremental.append(rows[start:start + 10])
+            assert store.stats["cache.put"] - puts == 2
+        if backend == "columnar":
+            assert built == []
+        monkeypatch.undo()
+
+        metrics = MetricsRegistry()
+        cold = DepMiner(backend=backend, build_armstrong="none",
+                        cache=store, metrics=metrics).run(
+            incremental.relation()
+        )
+        assert metrics.snapshot()["counters"].get("cache.full_hit") == 1
+        assert fd_tuples(cold) == fd_tuples(result)
+        assert fd_tuples(cold) == fd_tuples(
+            DepMiner(backend=backend, build_armstrong="none").run(
+                Relation.from_rows(schema, rows)
+            )
+        )
+
+
+class TestRegistrationFingerprint:
+    """An ``IncrementalMiner`` built on a fingerprinted
+    ``CodedRelation`` starts from a copy of the ingest's fingerprint
+    instead of digesting every row again."""
+
+    @pytest.mark.parametrize("ingest_nulls_equal", [True, False],
+                             ids=["same-nulls", "other-nulls"])
+    def test_ingest_fingerprint_is_reused(self, tmp_path, monkeypatch,
+                                          ingest_nulls_equal):
+        pytest.importorskip("numpy")
+        from repro.columnar.ingest import ingest_csv
+
+        rows = TestCachedDepMiner.rows(9, 50, width=4)
+        path = tmp_path / "relation.csv"
+        path.write_text("a,b,c,d\n" + "\n".join(
+            ",".join("" if value == 3 else str(value) for value in row)
+            for row in rows
+        ) + "\n")
+        coded = ingest_csv(path, nulls_equal=ingest_nulls_equal,
+                           fingerprint=True)
+        ingest_key = coded.fingerprint_key()
+        initial_key = fingerprint_relation(coded.to_relation())
+
+        folded = []
+        update_columns = RelationFingerprint.update_columns
+
+        def counting_update_columns(self, columns):
+            folded.append(len(columns))
+            update_columns(self, columns)
+
+        monkeypatch.setattr(RelationFingerprint, "update_columns",
+                            counting_update_columns)
+        incremental = IncrementalMiner(
+            coded, miner=DepMiner(backend="columnar", build_armstrong="none",
+                                  cache=ArtifactStore()),
+        )
+        registered_key = incremental.relation_key
+        incremental.append([(0, 1, None, 2), (1, 1, 1, 1)])
+        assert folded == []
+        monkeypatch.undo()
+
+        assert registered_key == initial_key
+        assert incremental.relation_key == fingerprint_relation(
+            incremental.relation()
+        )
+        assert coded.fingerprint_key() == ingest_key

@@ -256,6 +256,93 @@ class TestDifferential:
         assert client.stats()["counters"]["cache.full_hit"] == 1
 
 
+KEYED_CSV = "a,b,c\n1,,x\n2,,x\n3,5,y\n"
+KEYED_ROWS = [(1, None, "x"), (2, None, "x"), (3, 5, "y")]
+
+
+class TestSessionState:
+    """Reads answered from what a session already holds: keys from its
+    ``ag(r)``, one cover document per mining result."""
+
+    @pytest.mark.parametrize("sql_nulls", [False, True],
+                             ids=["nulls-equal", "sql-nulls"])
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_keys_after_appends_match_discover_keys(self, service, backend,
+                                                    sql_nulls):
+        from repro.core.keys_mining import discover_keys
+
+        if backend == "columnar" and not numpy_available():
+            pytest.skip("columnar backend needs NumPy")
+        _, client = service(backend=backend)
+        doc = client.register("keyed", csv_text=KEYED_CSV,
+                              options={"backend": backend,
+                                       "sql_nulls": sql_nulls})
+        sid = doc["session"]["id"]
+        batches = [[(4, None, "y")], [(1, 6, "z")]]
+        for batch in batches:
+            client.append(sid, batch)
+        grown = Relation.from_rows(
+            Schema(["a", "b", "c"]),
+            KEYED_ROWS + [row for batch in batches for row in batch],
+        )
+        expected = [list(key.names) for key in
+                    discover_keys(grown, nulls_equal=not sql_nulls)]
+        served = client.keys(sid)
+        assert served["keys"] == expected
+        assert served["count"] == len(expected)
+        # the null semantics reach the keys: b is unique only under SQL
+        assert (["b"] in expected) == sql_nulls
+
+    def test_cover_document_built_once_per_result(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracer import Tracer
+        from repro.service import protocol
+        from repro.service.server import ServiceApp
+
+        built = []
+        cover_document = protocol.cover_document
+
+        def counting_cover_document(result):
+            built.append(result)
+            return cover_document(result)
+
+        monkeypatch.setattr(protocol, "cover_document",
+                            counting_cover_document)
+        app = ServiceApp(ServiceConfig(port=0))
+
+        def call(method, route, payload=None):
+            document, status = app.handle(method, route, {}, payload or {},
+                                          Tracer(), MetricsRegistry())
+            assert status in (200, 201)
+            return document
+
+        try:
+            registered = call("POST", "/sessions",
+                              {"name": "memo", "attributes": ATTRIBUTES,
+                               "rows": ROWS})
+            sid = registered["session"]["id"]
+            first = call("GET", f"/sessions/{sid}/cover")
+            second = call("GET", f"/sessions/{sid}/cover")
+            assert len(built) == 1
+            assert first["cover"] == second["cover"] == registered["cover"]
+            # the session part stays per request
+            assert (first["session"]["requests"],
+                    second["session"]["requests"]) == (1, 2)
+
+            extra = [[5, "w", 1, "t"], [5, "w", 0, "t"]]
+            appended = call("POST", f"/sessions/{sid}/append",
+                            {"rows": extra})
+            assert len(built) == 2
+            grown = call("GET", f"/sessions/{sid}/cover")
+            assert len(built) == 2
+            assert grown["cover"] == appended["cover"]
+            assert grown["cover"]["num_rows"] == len(ROWS) + len(extra)
+            assert cover_set(grown["cover"]) == cold_cover(ROWS + extra,
+                                                           ATTRIBUTES)
+        finally:
+            app.close()
+
+
 class TestConcurrentSessions:
     def test_many_clients_many_sessions(self, service):
         """8 client threads across 4 sessions: every cover exact."""
