@@ -3,24 +3,22 @@
 
 Usage::
 
-    python scripts/check_cache.py [--cold-puts N] COLD.jsonl WARM.jsonl APPEND.jsonl
+    python scripts/check_cache.py COLD.jsonl WARM.jsonl APPEND.jsonl
 
 Reads three trace JSONL files produced by ``repro discover --cache-dir``
 runs over the same relation and asserts the counters that prove the
-cache actually worked:
+cache actually worked, on either backend:
 
-- the **cold** trace recorded ``--cold-puts`` artefact writes and no
-  hits: 3 (the default) on the python backend — partitions, agree sets,
-  cover — and 2 on the columnar backend, which has no partitions tier;
+- the **cold** trace recorded exactly 2 artefact writes — agree sets
+  and cover — and no hits;
 - the **warm** trace recorded a ``cache.full_hit`` — the rerun was
   served entirely from the cover artefact — and a matching ``cache.hit``
   with zero writes;
 - the **append** trace recorded ``incremental.rows_appended`` and a
   delta sweep (``incremental.delta_couples`` present), i.e. the appended
   rows took the incremental path rather than a cold re-mine, and exactly
-  2 artefact writes on either backend: the initial mine is a full hit
-  and the append publishes the grown relation's agree sets and cover,
-  never its stripped partitions.
+  2 artefact writes: the initial mine is a full hit and the append
+  publishes the grown relation's agree sets and cover.
 
 Exits non-zero with one line per problem.
 """
@@ -44,7 +42,7 @@ def counters(path: Path) -> dict:
     return values
 
 
-def check(cold: dict, warm: dict, append: dict, cold_puts: int = 3) -> list:
+def check(cold: dict, warm: dict, append: dict) -> list:
     problems = []
 
     def expect(trace, name, values, predicate, description):
@@ -54,8 +52,8 @@ def check(cold: dict, warm: dict, append: dict, cold_puts: int = 3) -> list:
                 f"{trace}: counter {name}={actual}, expected {description}"
             )
 
-    expect("cold", "cache.put", cold, lambda v: v == cold_puts,
-           f"{cold_puts} artefact writes")
+    expect("cold", "cache.put", cold, lambda v: v == 2,
+           "2 artefact writes (agree sets and cover)")
     expect("cold", "cache.hit", cold, lambda v: v == 0, "no hits")
     expect("warm", "cache.full_hit", warm, lambda v: v >= 1,
            ">= 1 (the warm-hit speedup counter)")
@@ -79,8 +77,6 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(
         description="Validate the cache-smoke traces."
     )
-    parser.add_argument("--cold-puts", type=int, default=3,
-                        help="artefact writes the cold run must record")
     parser.add_argument("traces", nargs=3, type=Path,
                         metavar="COLD|WARM|APPEND")
     args = parser.parse_args(argv)
@@ -89,8 +85,7 @@ def main(argv) -> int:
         if not path.is_file():
             print(f"{path}: no such file", file=sys.stderr)
             return 2
-    problems = check(*(counters(path) for path in paths),
-                     cold_puts=args.cold_puts)
+    problems = check(*(counters(path) for path in paths))
     for problem in problems:
         print(problem, file=sys.stderr)
     if not problems:

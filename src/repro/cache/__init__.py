@@ -5,12 +5,12 @@ The cache layer makes repeated and growing workloads cheap:
 - :mod:`repro.cache.fingerprint` — row-order-insensitive relation
   fingerprints and per-stage content keys;
 - :mod:`repro.cache.store` — the two-tier (memory LRU + disk)
-  :class:`ArtifactStore` holding stripped partitions, ``ag(r)`` and FD
-  cover bundles;
+  :class:`ArtifactStore` holding ``ag(r)`` and FD cover bundles;
 - :mod:`repro.cache.codec` — the compact versioned binary format of the
   disk tier (corruption-safe: bad entries decode to cache misses);
 - :mod:`repro.cache.incremental` — :class:`IncrementalMiner`, the
-  append-only delta path that re-mines only the new couples.
+  append-only delta path of both backends: it reads the new couples'
+  agree sets off per-attribute value groups and re-derives the tail.
 
 Entry points: ``DepMiner(cache=ArtifactStore(...))`` for transparent
 memoization, ``IncrementalMiner(relation, cache=...)`` for append

@@ -1,8 +1,7 @@
 """Pack/unpack pipeline artefacts to codec-representable payloads.
 
 The store (:mod:`repro.cache.store`) only traffics in plain containers
-of ints and strings; these helpers translate the pipeline's object
-types — :class:`~repro.partitions.database.StrippedPartitionDatabase`,
+of ints and strings; these helpers translate the pipeline's artefacts —
 ``ag(r)`` mask sets, the per-attribute cmax/lhs families and the FD
 cover — into that shape and back.
 
@@ -14,8 +13,6 @@ later hits.
 Payload schemas (informal; ``docs/caching.md`` documents the on-disk
 framing around them):
 
-- ``partitions``  ``{"names": (...), "rows": n, "classes": [[class…]…]}``
-  — one list of row-index classes per attribute, in schema order;
 - ``agree``       ``{"agree": {mask…}, "stats": {...}}``;
 - ``cover``       ``{"agree": {mask…}, "max": {attr: [mask…]},
   "cmax": …, "lhs": …, "fds": [(lhs_mask, rhs)…], "stats": {...}}``.
@@ -28,51 +25,13 @@ from typing import Any, Dict, List, Set, Tuple
 from repro.core.attributes import AttributeSet, Schema
 from repro.errors import CacheCodecError
 from repro.fd.fd import FD
-from repro.partitions.database import StrippedPartitionDatabase
-from repro.partitions.partition import StrippedPartition
 
 __all__ = [
-    "pack_partitions",
-    "unpack_partitions",
     "pack_agree",
     "unpack_agree",
     "pack_cover",
     "unpack_cover",
 ]
-
-
-def pack_partitions(spdb: StrippedPartitionDatabase) -> Dict[str, Any]:
-    """``r̂`` as a plain payload (schema names, row count, class lists)."""
-    return {
-        "names": tuple(spdb.schema.names),
-        "rows": spdb.num_rows,
-        "classes": [
-            [list(cls) for cls in partition] for _attr, partition in spdb
-        ],
-    }
-
-
-def unpack_partitions(payload: Dict[str, Any]) -> StrippedPartitionDatabase:
-    """Rebuild the stripped partition database from a payload.
-
-    Goes through the normal constructors, so structurally invalid
-    payloads (singleton classes, out-of-range rows) are rejected as
-    :class:`CacheCodecError` rather than corrupting the pipeline.
-    """
-    try:
-        schema = Schema(payload["names"])
-        num_rows = payload["rows"]
-        partitions = {
-            index: StrippedPartition(classes, num_rows)
-            for index, classes in enumerate(payload["classes"])
-        }
-        return StrippedPartitionDatabase(schema, partitions, num_rows)
-    except CacheCodecError:
-        raise
-    except Exception as error:
-        raise CacheCodecError(
-            f"invalid partitions payload: {error}"
-        ) from error
 
 
 def pack_agree(agree: Set[int], stats: Dict[str, int]) -> Dict[str, Any]:

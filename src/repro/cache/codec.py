@@ -1,7 +1,7 @@
 """Compact, versioned binary serialization of pipeline artefacts.
 
 The on-disk tier of :class:`repro.cache.store.ArtifactStore` persists
-bitmask families and stripped partitions.  ``pickle`` would work but is
+``ag(r)`` and FD-cover bundles, i.e. bitmask families.  ``pickle`` would work but is
 neither compact nor safe to load from an untrusted cache directory, so
 artefacts are encoded with a tiny deterministic tagged format:
 

@@ -1,7 +1,7 @@
 """Content fingerprints for relations and pipeline-stage cache keys.
 
-Every artefact of the Dep-Miner pipeline (stripped partitions, ``ag(r)``,
-the cmax families, the FD cover) is a pure function of the input relation
+Every artefact of the Dep-Miner pipeline (``ag(r)``, the cmax families,
+the FD cover) is a pure function of the input relation
 and the stage configuration, so a stable content hash of both is a sound
 cache key.  Two design points:
 
@@ -314,16 +314,13 @@ class PipelineKeys:
     ``docs/caching.md``).
     """
 
-    __slots__ = ("relation", "partitions", "agree", "cover")
+    __slots__ = ("relation", "agree", "cover")
 
     def __init__(self, relation_key: str, *, nulls_equal: bool,
                  agree_algorithm: str, max_couples, jobs: int,
                  transversal_algorithm: str, max_lhs_size,
                  backend: str = "python"):
         self.relation = relation_key
-        self.partitions = stage_key(
-            relation_key, "partitions", nulls_equal=nulls_equal
-        )
         self.agree = stage_key(
             relation_key, "agree", nulls_equal=nulls_equal,
             algorithm=agree_algorithm, max_couples=max_couples, jobs=jobs,

@@ -234,16 +234,13 @@ class ArtifactStore:
         """Store *payload* under ``(kind, key)`` in both tiers.
 
         The payload must be codec-representable (the pack helpers of
-        :mod:`repro.cache.artifacts` guarantee this); disk write
-        failures are counted (and eventually quarantine the tier), never
-        raised.
+        :mod:`repro.cache.artifacts` guarantee this).  Only the disk
+        tier encodes it; the memory tier keeps the payload as given.
+        Disk write failures are counted (and eventually quarantine the
+        tier), never raised.
         """
-        encoded: Optional[bytes] = None
         if self.disk_enabled:
-            try:
-                encoded = encode_artifact(kind, guard, payload)
-            except CacheCodecError:
-                raise
+            encoded = encode_artifact(kind, guard, payload)
             try:
                 self._dir.mkdir(parents=True, exist_ok=True)
                 # Atomic publish: no reader ever sees a half-written file.
@@ -267,11 +264,6 @@ class ArtifactStore:
                     raise
             except OSError as error:
                 self._note_io_failure("write", error, metrics)
-        elif self._max_memory:
-            # Memory-only stores still validate representability eagerly,
-            # so misconfigured payloads fail at put time, not on a later
-            # disk-tier upgrade.
-            encode_artifact(kind, guard, payload)
         self._remember(kind, key, guard, payload, metrics)
         self._count("cache.put", metrics)
 

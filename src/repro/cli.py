@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     discover.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="content-addressed artifact cache directory: re-mining an "
-             "unchanged (or row-permuted) file reuses its partitions, "
-             "agree sets and FD cover (see docs/caching.md)",
+             "unchanged (or row-permuted) file reuses its agree sets "
+             "and FD cover (see docs/caching.md)",
     )
     discover.add_argument(
         "--append", action="append", default=None, metavar="CSV",

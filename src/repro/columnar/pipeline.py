@@ -17,8 +17,7 @@ replaced by the array primitives of this package:
   :data:`~repro.columnar.agree.BATCH_COUPLES` couples, in-process at
   every ``jobs`` value.
 
-The columnar run never materializes partition objects, so the cache's
-partitions tier is the python backend's alone.
+The columnar run never materializes partition objects.
 """
 
 from __future__ import annotations

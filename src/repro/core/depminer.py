@@ -185,15 +185,13 @@ class DepMiner:
     cache:
         Optional :class:`repro.cache.ArtifactStore`.  ``run`` then
         fingerprints the relation (column-wise, row-order-insensitive)
-        and memoizes each pipeline artefact — ``ag(r)``, the full cover
-        bundle and, on the python backend, the stripped partitions —
-        under content-addressed stage keys, so re-mining the same
-        relation (or any row permutation of it) skips straight to the
-        cached artefacts.  The
-        mined output is identical with or without a cache (the
-        differential tests assert it); only ``run`` consults the cache
-        (``run_on_partitions`` has no relation to fingerprint).  See
-        ``docs/caching.md``.
+        and memoizes two pipeline artefacts — ``ag(r)`` and the full
+        cover bundle — under content-addressed stage keys, so re-mining
+        the same relation (or any row permutation of it) skips straight
+        to the cached artefacts.  The mined output is identical with or
+        without a cache (the differential tests assert it); only ``run``
+        consults the cache (``run_on_partitions`` has no relation to
+        fingerprint).  See ``docs/caching.md``.
     jobs:
         Worker processes for the sharded execution layer
         (:mod:`repro.parallel`).  ``1`` (default) is today's serial
@@ -464,7 +462,7 @@ class DepMiner:
                     stats,
                 )
             else:
-                spdb = self._strip(relation, keys, guard, tracer, metrics)
+                spdb = self._strip(relation, tracer, metrics)
                 agree = self._agree_phase(
                     spdb, tracer, metrics, stats, executor
                 )
@@ -493,23 +491,9 @@ class DepMiner:
         return (PipelineKeys.for_miner(relation_key, self),
                 guard_digest(schema.names, num_rows))
 
-    def _strip(self, relation: Relation, keys, guard: Optional[bytes],
-               tracer: Tracer,
+    def _strip(self, relation: Relation, tracer: Tracer,
                metrics: MetricsRegistry) -> StrippedPartitionDatabase:
-        """The python backend's stripped partitions of *relation*.
-
-        With stage *keys* (a cached run) they are read from, or else
-        written to, the partitions tier — a tier only this backend has.
-        """
-        if keys is not None:
-            from repro.cache.artifacts import pack_partitions, unpack_partitions
-
-            with tracer.span("cache.lookup", stage="partitions"):
-                payload = self.cache.get(
-                    "partitions", keys.partitions, guard, metrics=metrics
-                )
-            if payload is not None:
-                return unpack_partitions(payload)
+        """The python backend's strip phase: ``r̂`` of *relation*."""
         with tracer.span("strip", phase=True) as strip_span:
             spdb = StrippedPartitionDatabase.from_relation(
                 relation, nulls_equal=self.nulls_equal, metrics=metrics
@@ -519,11 +503,6 @@ class DepMiner:
             len(relation.schema), len(relation), spdb.total_classes(),
             strip_span.duration,
         )
-        if keys is not None:
-            self.cache.put(
-                "partitions", keys.partitions, guard,
-                pack_partitions(spdb), metrics=metrics,
-            )
         return spdb
 
     def run_on_partitions(self, spdb: StrippedPartitionDatabase,

@@ -12,12 +12,15 @@ embeds under ``"resources"``.
 
 Design constraints:
 
-1. *Cheap.*  One sample is a single ``/proc/self/statm`` read (a few
-   microseconds on Linux); the default 10 ms interval keeps the sampler
-   well inside the ``BENCH_obs.json`` telemetry budget.  ``tracemalloc``
-   is only consulted when it is already tracing (or the caller opted in
-   with ``trace_allocations=True``) because *starting* it is the
-   expensive part.
+1. *Cheap.*  One sample is a few ``/proc`` reads (~0.1 ms on Linux),
+   but every wake of the sampler thread also takes the interpreter lock
+   from the thread being measured and stalls it, the longer the busier
+   the host's CPUs are.  The default 50 ms interval keeps that inside
+   the ``BENCH_obs.json`` telemetry budget, which a 10 ms one exceeded
+   on a busy host (measurements in ``docs/observability.md``).
+   ``tracemalloc`` is only consulted when it is already tracing (or the
+   caller opted in with ``trace_allocations=True``) because *starting*
+   it is the expensive part.
 2. *Portable.*  Where ``/proc`` is unavailable the sampler falls back to
    ``resource.getrusage`` peak-RSS, and where that is missing too it
    degrades to phase bookkeeping only (``summary()["rss_supported"]``
@@ -127,7 +130,9 @@ class ResourceSampler:
     Parameters
     ----------
     interval:
-        Seconds between samples (default 10 ms).
+        Seconds between samples (default 50 ms; each wake costs the
+        measured thread a lock handoff, see the module docstring).
+        Pass a shorter one for finer per-phase attribution.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; when given, each
         sample is attributed to ``tracer.active_phase`` and the summary
@@ -144,7 +149,7 @@ class ResourceSampler:
     valid after ``stop()`` (and best-effort while running).
     """
 
-    def __init__(self, interval: float = 0.01,
+    def __init__(self, interval: float = 0.05,
                  tracer: Optional[Any] = None,
                  trace_allocations: bool = False):
         if interval <= 0:
@@ -196,7 +201,7 @@ class ResourceSampler:
         if self._thread is not None and self._stop_time is None:
             self._stop_event.set()
             self._thread.join(timeout=5.0)
-            self._sample()  # guarantee >= 2 samples even on a < 10 ms run
+            self._sample()  # >= 2 samples even on a run shorter than interval
             self._stop_time = time.perf_counter()
         if self._started_tracemalloc:
             import tracemalloc

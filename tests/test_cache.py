@@ -13,7 +13,8 @@ Four layers of coverage:
 - the differential properties: a cached ``DepMiner.run`` is
   extensionally identical to an uncached one, and ``IncrementalMiner``
   over *any* append sequence equals a cold run on the concatenated
-  relation, for every agree algorithm at ``jobs`` 1 and 2.
+  relation, on both backends, for every python agree algorithm, at
+  ``jobs`` 1 and 2.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ def assert_same_mining(left, right):
     assert left.cmax_sets == right.cmax_sets
     assert left.lhs_sets == right.lhs_sets
     assert fd_tuples(left) == fd_tuples(right)
+
+
+def skip_without_numpy(backend):
+    from repro.columnar import numpy_available
+
+    if backend == "columnar" and not numpy_available():
+        pytest.skip("columnar backend needs NumPy")
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +236,54 @@ class TestArtifactStore:
         with pytest.raises(CacheError):
             ArtifactStore(max_memory_entries=-1)
 
-    def test_memory_only_put_validates_payload(self):
+    def test_memory_only_put_never_encodes(self, tmp_path, monkeypatch):
+        import repro.cache.store as store_module
+
+        encoded = []
+        encode = store_module.encode_artifact
+
+        def spy(kind, guard, payload):
+            encoded.append(kind)
+            return encode(kind, guard, payload)
+
+        monkeypatch.setattr(store_module, "encode_artifact", spy)
+        guard = guard_digest(("a",), 1)
         store = ArtifactStore()
-        with pytest.raises(CacheCodecError):
-            store.put("agree", "k", guard_digest(("a",), 1), object())
+        store.put("agree", "k", guard, {"agree": {1}, "stats": {}})
+        assert encoded == []
+        assert store.get("agree", "k", guard) == {"agree": {1}, "stats": {}}
+        ArtifactStore(cache_dir=tmp_path).put("agree", "k", guard, [1])
+        assert encoded == ["agree"]   # the disk tier still encodes
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_pipeline_payloads_round_trip_through_disk(self, backend,
+                                                      tmp_path, monkeypatch):
+        """Every payload a cold run and an append publish survives the
+        disk codec unchanged — the representability a memory-only put
+        no longer checks."""
+        skip_without_numpy(backend)
+        published = []
+        put = ArtifactStore.put
+
+        def recording_put(self, kind, key, guard, payload, **kwargs):
+            published.append((kind, key, guard, payload))
+            put(self, kind, key, guard, payload, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "put", recording_put)
+        rows = TestCachedDepMiner.rows(10, 50)
+        incremental = IncrementalMiner(
+            Relation.from_rows(Schema.of_width(5), rows[:40]),
+            miner=DepMiner(backend=backend, build_armstrong="none",
+                           cache=ArtifactStore(cache_dir=tmp_path)),
+        )
+        incremental.append(rows[40:])
+        monkeypatch.undo()
+        assert [kind for kind, *_ in published] == \
+            ["agree", "cover", "agree", "cover"]
+        fresh = ArtifactStore(cache_dir=tmp_path)
+        for kind, key, guard, payload in published:
+            assert fresh.get(kind, key, guard) == payload, kind
+        assert fresh.stats["cache.disk_hit"] == len(published)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +433,6 @@ class TestFingerprint:
         identifiers = PipelineKeys.for_miner(
             key, DepMiner(agree_algorithm="identifiers")
         )
-        assert couples.partitions == identifiers.partitions
         assert couples.agree != identifiers.agree
         assert couples.cover != identifiers.cover
 
@@ -389,11 +440,9 @@ class TestFingerprint:
     #: columnar miners.  Caches on disk are addressed by these digests;
     #: a change here cold-starts every existing cache directory.
     GOLDEN_KEYS = {
-        "python": ("7371aa5b782a39004aa5bf9a67cae416",
-                   "8a516d4100af20cb6c689732e4f4e605",
+        "python": ("8a516d4100af20cb6c689732e4f4e605",
                    "280ef0c64e40106aaa6a1a0027ed382a"),
-        "columnar": ("7371aa5b782a39004aa5bf9a67cae416",
-                     "8114bfc51aaad4e4411410ecd9a8a6d5",
+        "columnar": ("8114bfc51aaad4e4411410ecd9a8a6d5",
                      "f896ea0c3eb108377b61cdb01c6f4338"),
     }
 
@@ -407,8 +456,7 @@ class TestFingerprint:
                                  miner.nulls_equal),
             miner,
         )
-        assert (keys.partitions, keys.agree, keys.cover) == \
-            self.GOLDEN_KEYS[backend]
+        assert (keys.agree, keys.cover) == self.GOLDEN_KEYS[backend]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +485,7 @@ class TestCachedDepMiner:
         assert_same_mining(plain, cold)
         assert_same_mining(plain, warm)
         assert store.stats["cache.hit"] == 1        # the cover bundle
-        assert store.stats["cache.put"] == 3        # partitions/agree/cover
+        assert store.stats["cache.put"] == 2        # agree/cover
 
     def test_full_hit_counter_emitted(self):
         relation = Relation.from_rows(Schema.of_width(4), self.rows(1, 30, width=4))
@@ -475,7 +523,7 @@ class TestCachedDepMiner:
                          transversal_algorithm="berge").run(relation)
         assert_same_mining(plain, result)
         assert store.stats["cache.hit"] == 1   # the shared ag(r)
-        assert store.stats["cache.miss"] == 4  # 3 cold + berge's cover
+        assert store.stats["cache.miss"] == 3  # 2 cold + berge's cover
 
     def test_armstrong_rebuilt_on_full_hit(self):
         relation = Relation.from_rows(Schema.of_width(4), self.rows(4, 25, width=4))
@@ -519,12 +567,11 @@ class TestOneCacheProtocol:
 
     Cold → warm → row-shuffled → another transversal method, all on one
     store: the ordered ``cache.lookup`` stages and the store counters
-    pin the protocol — cover, then agree, then (python only) the
-    partitions tier.
+    pin the protocol — cover, then agree, on either backend.
     """
 
     COLD_STAGES = {
-        "python": ["cover", "agree", "partitions"],
+        "python": ["cover", "agree"],
         "columnar": ["cover", "agree"],
     }
 
@@ -543,10 +590,7 @@ class TestOneCacheProtocol:
 
     @pytest.mark.parametrize("backend", sorted(COLD_STAGES))
     def test_cold_warm_shuffled_berge(self, backend):
-        from repro.columnar import numpy_available
-
-        if backend == "columnar" and not numpy_available():
-            pytest.skip("columnar backend needs NumPy")
+        skip_without_numpy(backend)
         rows = TestCachedDepMiner.rows(7, 60)
         plain = DepMiner(build_armstrong="none").run(
             Relation.from_rows(Schema.of_width(5), rows)
@@ -586,10 +630,12 @@ class TestOneCacheProtocol:
 
 
 MINER_CONFIGS = [
-    pytest.param("couples", 1, id="couples-serial"),
-    pytest.param("identifiers", 1, id="identifiers-serial"),
-    pytest.param("couples", 2, id="couples-sharded"),
-    pytest.param("identifiers", 2, id="identifiers-sharded"),
+    pytest.param("python", "couples", 1, id="couples-serial"),
+    pytest.param("python", "identifiers", 1, id="identifiers-serial"),
+    pytest.param("python", "couples", 2, id="couples-sharded"),
+    pytest.param("python", "identifiers", 2, id="identifiers-sharded"),
+    pytest.param("columnar", "couples", 1, id="columnar-serial"),
+    pytest.param("columnar", "couples", 2, id="columnar-sharded"),
 ]
 
 small_rows = st.lists(
@@ -599,30 +645,34 @@ small_rows = st.lists(
 
 
 class TestIncrementalMiner:
-    @pytest.mark.parametrize("algorithm,jobs", MINER_CONFIGS)
+    @pytest.mark.parametrize("backend,algorithm,jobs", MINER_CONFIGS)
     @settings(max_examples=12, deadline=None)
     @given(base=small_rows, batches=st.lists(small_rows, min_size=1,
                                              max_size=3), data=st.data())
-    def test_append_equals_cold_run(self, algorithm, jobs, base, batches,
-                                    data):
+    def test_append_equals_cold_run(self, backend, algorithm, jobs, base,
+                                    batches, data):
+        skip_without_numpy(backend)
         schema = Schema.of_width(4)
         incremental = IncrementalMiner(
             Relation.from_rows(schema, base), build_armstrong="none",
-            agree_algorithm=algorithm, jobs=jobs,
+            backend=backend, agree_algorithm=algorithm, jobs=jobs,
         )
         rows = list(base)
         for batch in batches:
             result = incremental.append(batch)
             rows += batch
             cold = DepMiner(
-                build_armstrong="none", agree_algorithm=algorithm,
+                build_armstrong="none", backend=backend,
+                agree_algorithm=algorithm,
             ).run(Relation.from_rows(schema, rows))
             assert_same_mining(cold, result)
             assert incremental.num_rows == len(rows)
 
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
     @settings(max_examples=10, deadline=None)
     @given(base=small_rows, batch=small_rows)
-    def test_append_with_nulls_sql_semantics(self, base, batch):
+    def test_append_with_nulls_sql_semantics(self, backend, base, batch):
+        skip_without_numpy(backend)
         # Mix in None values and run under NULL <> NULL semantics.
         def with_nulls(rows):
             return [
@@ -633,10 +683,11 @@ class TestIncrementalMiner:
         base, batch = with_nulls(base), with_nulls(batch)
         incremental = IncrementalMiner(
             Relation.from_rows(schema, base), build_armstrong="none",
-            nulls_equal=False,
+            backend=backend, nulls_equal=False,
         )
         result = incremental.append(batch)
-        cold = DepMiner(build_armstrong="none", nulls_equal=False).run(
+        cold = DepMiner(build_armstrong="none", backend=backend,
+                        nulls_equal=False).run(
             Relation.from_rows(schema, base + batch)
         )
         assert_same_mining(cold, result)
@@ -715,11 +766,9 @@ class TestLeanAppend:
     @pytest.mark.parametrize("backend", ["python", "columnar"])
     def test_append_publishes_agree_and_cover_only(self, backend,
                                                    monkeypatch):
-        from repro.columnar import numpy_available
         from repro.partitions.partition import StrippedPartition
 
-        if backend == "columnar" and not numpy_available():
-            pytest.skip("columnar backend needs NumPy")
+        skip_without_numpy(backend)
         schema = Schema.of_width(5)
         rows = TestCachedDepMiner.rows(8, 60)
         store = ArtifactStore()
@@ -740,8 +789,7 @@ class TestLeanAppend:
             puts = store.stats["cache.put"]
             result = incremental.append(rows[start:start + 10])
             assert store.stats["cache.put"] - puts == 2
-        if backend == "columnar":
-            assert built == []
+        assert built == []   # no stripped partition on either backend
         monkeypatch.undo()
 
         metrics = MetricsRegistry()
