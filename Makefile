@@ -35,9 +35,9 @@ bench-cache:
 	$(PYTHON) -m pytest benchmarks/bench_cache.py -q
 	$(PYTHON) benchmarks/bench_cache.py BENCH_cache.json
 
-# The transversal-kernel speedup guard: asserts the >= 3x kernel and
-# vectorized floors on the wide-schema workload (with identical
-# transversal families and FD covers), then records the timings.
+# The transversal-kernel speedup guard: asserts the >= 3x kernel floor
+# on the wide-schema workload (with identical transversal families and
+# FD covers), then records the timings.
 bench-transversal:
 	$(PYTHON) -m pytest benchmarks/bench_transversal_kernel.py -q
 	$(PYTHON) benchmarks/bench_transversal_kernel.py BENCH_transversal.json

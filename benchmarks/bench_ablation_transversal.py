@@ -9,8 +9,7 @@ isolate the kernel's layers:
 
 - ``kernel`` — the full pipeline (reductions + incremental coverage);
 - ``kernel_no_reductions`` — incremental coverage only (``reductions=
-  False``), i.e. the value of the coverage masks alone;
-- ``kernel_vectorized`` — the NumPy lane-packed batch backend.
+  False``), i.e. the value of the coverage masks alone.
 
 Benchmarked on the actual cmax hypergraphs produced by mining a
 correlated synthetic relation (not on synthetic hypergraphs), so the
@@ -65,14 +64,5 @@ def test_transversal_kernel(benchmark, cmax_families):
 def test_transversal_kernel_no_reductions(benchmark, cmax_families):
     def search(edges, width):
         return minimal_transversals_kernel(edges, width, reductions=False)
-
-    benchmark(run_all, cmax_families, search)
-
-
-@pytest.mark.benchmark(group="ablation-transversal")
-def test_transversal_kernel_vectorized(benchmark, cmax_families):
-    def search(edges, width):
-        return minimal_transversals_kernel(edges, width,
-                                           backend="vectorized")
 
     benchmark(run_all, cmax_families, search)

@@ -83,7 +83,8 @@ def _baseline_pipeline(relation: Relation) -> None:
     agree = agree_sets(spdb, mc=mc)
     max_sets = maximal_sets(agree, schema)
     cmax = complement_maximal_sets(max_sets, schema)
-    lhs_sets = left_hand_sides(cmax, schema)
+    lhs_sets = left_hand_sides(cmax, schema,
+                               method=DepMiner.DEFAULT_TRANSVERSAL)
     fd_output(lhs_sets, schema)
     union = max_set_union(max_sets)
     classical_armstrong(schema, union)

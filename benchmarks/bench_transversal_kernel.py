@@ -8,11 +8,10 @@ Dep-Miner's runtime:
 - **legacy** — ``minimal_transversals_levelwise`` (Algorithm 5 as the
   paper states it: per-candidate ``O(|edges|)`` rescans);
 - **kernel** — ``minimal_transversals_kernel`` (reduction pass +
-  incremental-coverage core, pure-Python backend);
-- **vectorized** — the same kernel with the NumPy lane-packed backend.
+  incremental-coverage core).
 
-The tests assert the acceptance floors of the kernel work: both kernel
-backends ≥ 3× the legacy search on the wide workload, with bit-for-bit
+The tests assert the acceptance floor of the kernel work: the kernel
+≥ 3× the legacy search on the wide workload, with bit-for-bit
 identical transversal families — and, end to end, identical FD covers
 through :class:`~repro.core.depminer.DepMiner` across all transversal
 algorithms at ``jobs`` 1 and 2.  Timings are min-of-repeats, with
@@ -57,7 +56,6 @@ REPEATS = int(os.environ.get("REPRO_BENCH_TRANSVERSAL_REPEATS", "3"))
 MIN_SAMPLE_SECONDS = 0.25
 
 MIN_KERNEL_SPEEDUP = 3.0
-MIN_VECTORIZED_SPEEDUP = 3.0
 
 #: The end-to-end cover-equivalence sweep (smaller: it runs the full
 #: pipeline once per algorithm per jobs value).
@@ -65,7 +63,7 @@ COVER_ATTRS = int(os.environ.get("REPRO_BENCH_TRANSVERSAL_COVER_ATTRS",
                                  "12"))
 COVER_ROWS = int(os.environ.get("REPRO_BENCH_TRANSVERSAL_COVER_ROWS",
                                 "400"))
-COVER_ALGORITHMS = ("kernel", "vectorized", "levelwise", "berge")
+COVER_ALGORITHMS = ("kernel", "levelwise", "berge")
 
 
 def _cmax_families() -> List[List[int]]:
@@ -92,9 +90,6 @@ def measure(repeats: int = REPEATS) -> Dict[str, object]:
     runners = {
         "legacy": lambda edges: minimal_transversals_levelwise(edges, ATTRS),
         "kernel": lambda edges: minimal_transversals_kernel(edges, ATTRS),
-        "vectorized": lambda edges: minimal_transversals_kernel(
-            edges, ATTRS, backend="vectorized"
-        ),
     }
     best = {name: float("inf") for name in runners}
     spent = {name: 0.0 for name in runners}
@@ -151,18 +146,12 @@ def report(measured: Dict[str, object]) -> Dict[str, object]:
             "kernel_vs_legacy": round(
                 seconds["legacy"] / seconds["kernel"], 2
             ),
-            "vectorized_vs_legacy": round(
-                seconds["legacy"] / seconds["vectorized"], 2
-            ),
         },
         "floors": {
             "kernel_vs_legacy": MIN_KERNEL_SPEEDUP,
-            "vectorized_vs_legacy": MIN_VECTORIZED_SPEEDUP,
         },
         "transversals_identical": (
-            measured["outputs"]["legacy"]
-            == measured["outputs"]["kernel"]
-            == measured["outputs"]["vectorized"]
+            measured["outputs"]["legacy"] == measured["outputs"]["kernel"]
         ),
         "covers_identical_across_algorithms_and_jobs": all(
             cover == reference for cover in covers.values()
@@ -179,7 +168,6 @@ def report(measured: Dict[str, object]) -> Dict[str, object]:
 def test_all_algorithms_compute_the_same_transversals():
     outputs = measure(repeats=1)["outputs"]
     assert outputs["legacy"] == outputs["kernel"]
-    assert outputs["legacy"] == outputs["vectorized"]
 
 
 def test_covers_identical_across_algorithms_and_jobs():
@@ -197,16 +185,6 @@ def test_kernel_speedup_floor():
         f"kernel only {speedup:.1f}x faster than the legacy levelwise "
         f"search (legacy {seconds['legacy']:.4f}s, kernel "
         f"{seconds['kernel']:.4f}s; floor {MIN_KERNEL_SPEEDUP}x)"
-    )
-
-
-def test_vectorized_speedup_floor():
-    seconds = measure()["seconds"]
-    speedup = seconds["legacy"] / seconds["vectorized"]
-    assert speedup >= MIN_VECTORIZED_SPEEDUP, (
-        f"vectorized kernel only {speedup:.1f}x faster than the legacy "
-        f"levelwise search (legacy {seconds['legacy']:.4f}s, vectorized "
-        f"{seconds['vectorized']:.4f}s; floor {MIN_VECTORIZED_SPEEDUP}x)"
     )
 
 

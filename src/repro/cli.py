@@ -36,6 +36,7 @@ from repro.datagen.synthetic import generate_relation
 from repro.datagen.workloads import SCALES
 from repro.errors import ReproError
 from repro.fd.fd import fds_to_text
+from repro.hypergraph.transversals import METHODS
 from repro.obs import (
     ConsoleProgress,
     MetricsRegistry,
@@ -227,11 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     discover.add_argument(
         "--transversal",
-        choices=("kernel", "vectorized", "levelwise", "berge"),
+        choices=METHODS,
         default="kernel",
         help="transversal algorithm for the LEFT_HAND_SIDE phase "
              "(kernel = reductions + incremental coverage, the default; "
-             "vectorized = kernel with the NumPy batch backend; "
              "levelwise = the paper's Algorithm 5; berge = oracle)",
     )
     discover.add_argument(

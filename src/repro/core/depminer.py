@@ -41,11 +41,7 @@ from repro.core.armstrong import (
     real_world_existence_deficits,
 )
 from repro.core.attributes import AttributeSet, Schema
-from repro.core.lhs import (
-    check_transversal_options,
-    fd_output,
-    left_hand_sides,
-)
+from repro.core.lhs import fd_output, left_hand_sides
 from repro.core.maximal_sets import (
     complement_maximal_sets,
     max_set_union,
@@ -54,6 +50,7 @@ from repro.core.maximal_sets import (
 from repro.core.relation import Relation
 from repro.errors import ArmstrongExistenceError, ReproError
 from repro.fd.fd import FD
+from repro.hypergraph.transversals import resolve_transversal
 from repro.obs import (
     NULL_METRICS,
     MetricsRegistry,
@@ -160,11 +157,10 @@ class DepMiner:
     transversal_algorithm:
         ``"kernel"`` (the default on both backends: the reduction +
         incremental-coverage kernel of :mod:`repro.hypergraph.kernel`),
-        ``"vectorized"`` (the same kernel with the NumPy lane-packed
-        batch backend, slower on every measured cmax family; it falls
-        back to the pure kernel when NumPy is missing), ``"levelwise"``
-        (the paper's Algorithm 5 verbatim — pick this to reproduce the
-        paper's exact search) or ``"berge"`` (sequential baseline).
+        ``"levelwise"`` (the paper's Algorithm 5 verbatim — pick this
+        to reproduce the paper's exact search) or ``"berge"``
+        (sequential baseline), all reached through
+        :func:`~repro.hypergraph.transversals.minimal_transversals`.
         Every algorithm produces bit-for-bit the same FD cover; they
         differ only in speed.
     build_armstrong:
@@ -180,8 +176,8 @@ class DepMiner:
     max_lhs_size:
         Optional cap on the lhs size for very wide schemas; the output
         is then every minimal FD with at most that many lhs attributes
-        (sound but incomplete).  Kernel, vectorized and levelwise
-        algorithms only.
+        (sound but incomplete).  Kernel and levelwise algorithms
+        only.
     cache:
         Optional :class:`repro.cache.ArtifactStore`.  ``run`` then
         fingerprints the relation (column-wise, row-order-insensitive)
@@ -302,11 +298,12 @@ class DepMiner:
                 f"agree_algorithm={agree_algorithm!r}, "
                 f"max_couples={max_couples!r} (use backend='python')"
             )
-        check_transversal_options(transversal_algorithm, max_lhs_size)
         self.backend = backend
         self.agree_algorithm = agree_algorithm
         self.max_couples = max_couples
-        self.transversal_algorithm = transversal_algorithm
+        self.transversal_algorithm = resolve_transversal(
+            transversal_algorithm, max_lhs_size
+        )
         self.build_armstrong = build_armstrong
         self.nulls_equal = nulls_equal
         # Optional lhs-size cap for very wide schemas: the transversal
@@ -701,22 +698,9 @@ class DepMiner:
         mode = self.build_armstrong
         with tracer.span("armstrong", phase=True, mode=mode):
             if mode != "none":
-                build_classical, deficits_of, build_real_world = \
-                    self._armstrong_constructions()
-                with tracer.span("armstrong.build", construction="classical"):
-                    classical = build_classical(schema, union)
-                if mode in ("real-world", "strict"):
-                    if relation is None:
-                        if mode == "strict":
-                            raise ReproError(
-                                "strict real-world Armstrong generation "
-                                "needs the initial relation, not just its "
-                                "partitions"
-                            )
-                    elif mode == "strict" or not deficits_of(relation, union):
-                        with tracer.span("armstrong.build",
-                                         construction="real-world"):
-                            armstrong = build_real_world(relation, union)
+                armstrong, classical = self.armstrong_relations(
+                    schema, union, relation, mode, tracer
+                )
                 if armstrong is not None:
                     metrics.gauge("armstrong.tuples", len(armstrong))
 
@@ -738,26 +722,57 @@ class DepMiner:
             trace=tracer,
         )
 
-    def _armstrong_constructions(self):
-        """Step 5's ``(classical, existence deficits, real-world)``
-        functions on this backend.
+    def armstrong_relations(self, schema: Schema, max_union: List[int],
+                            relation, mode: str, tracer: Tracer):
+        """Step 5: ``(real-world relation or None, classical relation)``.
 
-        The columnar ones (:mod:`repro.columnar.armstrong`) are
-        vectorized and bit-identical to the row-wise ones; they also
-        read domains off a :class:`repro.columnar.ingest.CodedRelation`
-        without materializing it.
+        The one place step 5 is decided, shared by :meth:`run` and the
+        service's Armstrong endpoint.  *mode* is ``"real-world"`` (build
+        the value-preserving relation when Proposition 1 allows it),
+        ``"strict"`` (build it or raise
+        :class:`ArmstrongExistenceError`) or ``"classical"`` (the
+        integer-valued relation only, which every mode builds).
+        *relation* — a :class:`Relation` or a columnar
+        :class:`repro.columnar.ingest.CodedRelation` — supplies the
+        values; without it ``"real-world"`` gives no real-world relation
+        and ``"strict"`` raises :class:`ReproError`.  Each construction
+        runs in an ``armstrong.build`` span of *tracer*.
+
+        The columnar backend runs :mod:`repro.columnar.armstrong`,
+        vectorized and bit-identical to the row-wise constructions; it
+        reads domains off a coded relation without materializing it.
         """
+        if mode not in ("real-world", "strict", "classical"):
+            raise ReproError(
+                f"Armstrong mode must be 'real-world', 'strict' or "
+                f"'classical'; got {mode!r}"
+            )
         if self.backend == "columnar":
             from repro.columnar.armstrong import (
-                classical_armstrong_columnar,
-                existence_deficits,
-                real_world_armstrong_columnar,
+                classical_armstrong_columnar as build_classical,
+                existence_deficits as deficits_of,
+                real_world_armstrong_columnar as build_real_world,
             )
-
-            return (classical_armstrong_columnar, existence_deficits,
-                    real_world_armstrong_columnar)
-        return (classical_armstrong, real_world_existence_deficits,
-                real_world_armstrong)
+        else:
+            build_classical, deficits_of, build_real_world = (
+                classical_armstrong, real_world_existence_deficits,
+                real_world_armstrong,
+            )
+        with tracer.span("armstrong.build", construction="classical"):
+            classical = build_classical(schema, max_union)
+        if mode == "classical":
+            return None, classical
+        if relation is None:
+            if mode == "strict":
+                raise ReproError(
+                    "strict real-world Armstrong generation needs the "
+                    "initial relation, not just its partitions"
+                )
+            return None, classical
+        if mode == "real-world" and deficits_of(relation, max_union):
+            return None, classical
+        with tracer.span("armstrong.build", construction="real-world"):
+            return build_real_world(relation, max_union), classical
 
 
 def discover(relation: Relation, **options) -> DepMinerResult:

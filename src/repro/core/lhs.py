@@ -18,59 +18,35 @@ Corner cases, both exercised by the tests:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.attributes import AttributeSet, Schema, popcount
-from repro.errors import ReproError
 from repro.fd.fd import FD
-from repro.hypergraph.transversals import (
-    minimal_transversals,
-    resolve_transversal,
-)
+from repro.hypergraph.transversals import minimal_transversals
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressCallback, emit_progress
 
 __all__ = [
     "left_hand_sides",
     "fd_output",
-    "check_transversal_options",
-    "SIZE_BOUNDED_METHODS",
 ]
-
-#: The transversal algorithms that honour ``max_size`` (levelwise
-#: truncation); Berge enumerates complete families only.
-SIZE_BOUNDED_METHODS = ("levelwise", "kernel", "vectorized")
-
-
-def check_transversal_options(method: str, max_size: Optional[int]) -> None:
-    """Raise the :class:`ReproError` the lhs search would raise for this
-    configuration (``DepMiner`` checks it at construction)."""
-    resolve_transversal(method)
-    if max_size is not None:
-        if method not in SIZE_BOUNDED_METHODS:
-            raise ReproError(
-                "max_size is only supported by the levelwise, kernel and "
-                "vectorized methods"
-            )
-        if max_size < 1:
-            raise ReproError("max_size must be a positive integer or None")
 
 
 def left_hand_sides(cmax: Dict[int, List[int]], schema: Schema,
                     method: str = "levelwise",
-                    max_size: int = None,
+                    max_size: Optional[int] = None,
                     metrics: Optional[MetricsRegistry] = None,
                     progress: Optional[ProgressCallback] = None,
                     tracer=None) -> Dict[int, List[int]]:
     """``lhs(dep(r), A)`` for every attribute, as bitmask lists.
 
     *cmax* maps each attribute index to the edges of ``cmax(dep(r), A)``;
-    *method* selects the transversal algorithm (``"kernel"`` is the
-    reduction + incremental-coverage kernel DepMiner defaults to,
-    ``"vectorized"`` its NumPy batch backend, ``"levelwise"`` the
-    paper's Algorithm 5, ``"berge"`` the sequential baseline).
-    *max_size* bounds the lhs size and is only supported by the
-    size-bounded methods (:data:`SIZE_BOUNDED_METHODS`): the result is
+    each family goes through
+    :func:`~repro.hypergraph.transversals.minimal_transversals` with
+    *method* (``"kernel"`` is the reduction + incremental-coverage
+    kernel DepMiner defaults to, ``"levelwise"`` the paper's
+    Algorithm 5, ``"berge"`` the sequential baseline).  *max_size*
+    bounds the lhs size (levelwise and kernel only): the result is
     then every minimal lhs of at most that many attributes (sound but
     incomplete — the usual wide-schema trade-off).
 
@@ -80,47 +56,20 @@ def left_hand_sides(cmax: Dict[int, List[int]], schema: Schema,
     reports one ``"lhs.attributes"`` step per attribute (any method) and
     per-level steps inside the levelwise searches.  *tracer* optionally
     wraps each attribute's kernel reduction in a ``transversal.reduce``
-    span (kernel/vectorized methods only).
+    span.
     """
     width = len(schema)
-    check_transversal_options(method, max_size)
     result: Dict[int, List[int]] = {}
     for done, (attribute, edges) in enumerate(cmax.items()):
         if progress is not None:
             emit_progress(progress, "lhs.attributes", done, len(cmax))
-        if method == "levelwise":
-            from repro.hypergraph.transversals import (
-                minimal_transversals_levelwise,
-            )
-
-            result[attribute] = minimal_transversals_levelwise(
-                edges, width, max_size=max_size,
-                metrics=metrics, progress=progress,
-            )
-        elif method in ("kernel", "vectorized"):
-            result[attribute] = _kernel_lhs(
-                edges, width, attribute, method, max_size,
-                metrics, progress, tracer,
-            )
-        else:
-            result[attribute] = minimal_transversals(
-                edges, width, method=method
-            )
+        result[attribute] = minimal_transversals(
+            edges, width, method, max_size=max_size, metrics=metrics,
+            progress=progress, tracer=tracer,
+        )
     if progress is not None and cmax:
         emit_progress(progress, "lhs.attributes", len(cmax), len(cmax))
     return result
-
-
-def _kernel_lhs(edges: List[int], width: int, attribute: int, method: str,
-                max_size, metrics, progress, tracer) -> List[int]:
-    """One attribute's transversal search through the layered kernel."""
-    from repro.hypergraph.kernel import minimal_transversals_kernel
-
-    backend = "vectorized" if method == "vectorized" else "python"
-    return minimal_transversals_kernel(
-        edges, width, max_size=max_size, metrics=metrics,
-        progress=progress, backend=backend, tracer=tracer,
-    )
 
 
 def fd_output(lhs_sets: Dict[int, List[int]], schema: Schema) -> List[FD]:

@@ -5,7 +5,7 @@ candidate against every edge at every level: ``O(|edges|)`` rescans per
 candidate, with the candidate's vertex mask rebuilt from scratch each
 time.  On wide schemas — exactly the regime of the paper's scale-up
 experiments (Figures 5-7) — that phase dominates Dep-Miner's runtime.
-This module rebuilds the search as three layers, all on Python ints
+This module rebuilds the search as two layers, all on Python ints
 used as bitmasks, over one *incidence transpose* per call: each vertex
 mapped to its *column*, the bitmask of the (deduplicated) edges it
 lies in.  The transpose is built once and shared by every reduction
@@ -47,14 +47,6 @@ step and by the search.
    child's coverage as its parent's coverage OR the new vertex's
    column.
 
-3. **Vectorized batch backend** (optional, NumPy): a whole level's
-   coverage masks live in lane-packed ``uint64`` arrays (mirroring
-   ``repro.columnar.agree``); the per-level transversality test is one
-   vectorized compare-and-reduce.  It runs only when a caller names
-   ``backend="vectorized"`` — on every measured cmax family it is
-   slower than the mask core — and falls back to that core (with a
-   logged warning) when NumPy is not installed.
-
 The kernel is extensionally identical to ``minimal_transversals_levelwise``
 — the paper's algorithm, kept as the ablation baseline — and to the
 Berge / DFS oracles (``tests/test_transversal_kernel.py`` holds all of
@@ -70,28 +62,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import popcount
 from repro.errors import ReproError
-from repro.obs.logsetup import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressCallback, emit_progress
-
-try:  # pragma: no cover - exercised via tests monkeypatching `np`
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
 
 __all__ = [
     "HypergraphReduction",
     "reduce_hypergraph",
     "minimal_transversals_kernel",
 ]
-
-logger = get_logger(__name__)
-
-#: uint64 lanes keep one bit headroom, exactly like ``columnar.agree``:
-#: conversions from Python ints never touch the sign bit.
-_BITS_PER_LANE = 63
-
-_warned_numpy_missing = False
 
 
 # -- layer 1: the reduction pass ---------------------------------------------
@@ -327,120 +305,12 @@ def _search_component(columns: Dict[int, int], max_size: Optional[int],
     return found
 
 
-# -- layer 3: the lane-packed batch backend ----------------------------------
-
-def _pack_lanes(mask: int, num_lanes: int):
-    """One coverage bitmask -> its uint64 lane row."""
-    row = np.empty(num_lanes, dtype=np.uint64)
-    lane_mask = (1 << _BITS_PER_LANE) - 1
-    for lane in range(num_lanes):
-        row[lane] = (mask >> (lane * _BITS_PER_LANE)) & lane_mask
-    return row
-
-
-def _search_component_lanes(columns: Dict[int, int],
-                            max_size: Optional[int],
-                            budget: _LevelBudget) -> List[int]:
-    """The NumPy backend: evaluate a whole level's coverage at once.
-
-    Candidate tuples and the Apriori join stay in Python; the coverage
-    accumulation and the transversality test — the ``O(level × edges)``
-    part — run as vectorized uint64 lane operations over the entire
-    level.  Only a caller naming ``"vectorized"`` runs it: on every
-    measured cmax family it is slower than the mask core above.
-    """
-    full = 0
-    for column in columns.values():
-        full |= column
-    num_lanes = (full.bit_length() + _BITS_PER_LANE - 1) // _BITS_PER_LANE
-    vertices = sorted(columns)
-    vertex_row = {vertex: row for row, vertex in enumerate(vertices)}
-    incidence_lanes = np.stack([
-        _pack_lanes(columns[vertex], num_lanes) for vertex in vertices
-    ])
-    full_lanes = _pack_lanes(full, num_lanes)
-
-    level: List[Tuple[int, ...]] = [(vertex,) for vertex in vertices]
-    covers = incidence_lanes.copy()
-    found: List[int] = []
-    size = 1
-    while level:
-        budget.level(len(level))
-        complete = (covers == full_lanes).all(axis=1)
-        for index in np.flatnonzero(complete):
-            mask = 0
-            for vertex in level[int(index)]:
-                mask |= 1 << vertex
-            found.append(mask)
-        if complete.all() or (max_size is not None and size >= max_size):
-            break
-        keep = np.flatnonzero(~complete)
-        survivors = [level[int(index)] for index in keep]
-        covers = covers[keep]
-
-        # The join emits (parent row, new vertex) pairs; the children's
-        # coverage is one vectorized gather + OR over the whole level.
-        present = set(survivors)
-        next_level: List[Tuple[int, ...]] = []
-        parent_rows: List[int] = []
-        new_rows: List[int] = []
-        pruned = 0
-        for i, left in enumerate(survivors):
-            prefix = left[:-1]
-            for j in range(i + 1, len(survivors)):
-                right = survivors[j]
-                if right[:-1] != prefix:
-                    break
-                candidate = left + (right[-1],)
-                # Dropping either trailing vertex gives left or right,
-                # present by construction.
-                if all(
-                    candidate[:k] + candidate[k + 1:] in present
-                    for k in range(size - 1)
-                ):
-                    next_level.append(candidate)
-                    parent_rows.append(i)
-                    new_rows.append(vertex_row[candidate[-1]])
-                else:
-                    pruned += 1
-        budget.pruned(pruned)
-        if not next_level:
-            break
-        covers = covers[np.asarray(parent_rows, dtype=np.intp)] | \
-            incidence_lanes[np.asarray(new_rows, dtype=np.intp)]
-        level = next_level
-        size += 1
-    return found
-
-
 # -- the public kernel -------------------------------------------------------
-
-def _resolve_backend(backend: str) -> bool:
-    global _warned_numpy_missing
-    if backend == "python":
-        return False
-    if backend != "vectorized":
-        raise ReproError(
-            f"unknown kernel backend {backend!r}; "
-            f"choose 'python' or 'vectorized'"
-        )
-    if np is None:
-        if not _warned_numpy_missing:
-            logger.warning(
-                "transversal backend 'vectorized' needs NumPy, which is "
-                "not installed; falling back to the pure-Python kernel "
-                "(pip install 'repro[fast]' to enable it)"
-            )
-            _warned_numpy_missing = True
-        return False
-    return True
-
 
 def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
                                 max_size: Optional[int] = None,
                                 metrics: Optional[MetricsRegistry] = None,
                                 progress: Optional[ProgressCallback] = None,
-                                backend: str = "python",
                                 reductions: bool = True,
                                 tracer=None) -> List[int]:
     """All minimal transversals (of size ≤ *max_size*) via the kernel.
@@ -449,11 +319,9 @@ def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
     :func:`~repro.hypergraph.transversals.minimal_transversals_levelwise`
     — same inputs, same sorted bitmask output, same ``max_size``
     semantics (sound but incomplete truncation) — but runs the layered
-    pipeline documented in the module docstring.  *backend* selects the
-    coverage evaluator (``"python"`` big-int masks or ``"vectorized"``
-    NumPy lanes; the latter silently degrades to the former when NumPy
-    is missing).  *reductions* = ``False`` skips the preprocessing pass
-    (ablation only — the incremental-coverage core still runs).
+    pipeline documented in the module docstring.  *reductions* =
+    ``False`` skips the preprocessing pass (ablation only — the
+    incremental-coverage core still runs).
 
     *metrics* receives the same ``transversal.level_size`` /
     ``lhs.candidates_generated`` series as the levelwise search plus the
@@ -469,7 +337,6 @@ def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
         raise ReproError("hypergraph edges must be non-empty")
     if max_size is not None and max_size < 1:
         raise ReproError("max_size must be a positive integer or None")
-    vectorized = _resolve_backend(backend)
     if not edges:
         return [0]
 
@@ -502,10 +369,9 @@ def minimal_transversals_kernel(edges: Sequence[int], num_vertices: int = 0,
         if remaining_budget == 0:
             return [] if reduction.components else [reduction.essential]
 
-    search = _search_component_lanes if vectorized else _search_component
     families: List[List[int]] = []
     for component in reduction.components:
-        family = search(component, remaining_budget, budget)
+        family = _search_component(component, remaining_budget, budget)
         if not family:
             # max_size truncated this component away: every global
             # transversal needs a part from each component, so none fits.

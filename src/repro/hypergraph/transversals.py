@@ -1,8 +1,10 @@
-"""Minimal transversals of simple hypergraphs.
+"""Minimal transversals of simple hypergraphs, and the one dispatcher.
 
-The legacy algorithms (kept as differential oracles and ablation
-baselines for the layered kernel in :mod:`repro.hypergraph.kernel`,
-which is the production default of :class:`~repro.core.depminer.DepMiner`):
+:func:`minimal_transversals` is the only place a method name becomes a
+search.  Besides the layered kernel of :mod:`repro.hypergraph.kernel`
+(the production default of :class:`~repro.core.depminer.DepMiner`), it
+offers the legacy algorithms, kept as differential oracles and ablation
+baselines:
 
 - :func:`minimal_transversals_levelwise` — the paper's Algorithm 5
   (``LEFT_HAND_SIDE``), a levelwise search that adapts the Apriori-gen
@@ -22,12 +24,12 @@ what makes constant columns come out as ``∅ → A`` in Dep-Miner.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attributes import iter_bits, popcount
 from repro.errors import ReproError
 from repro.hypergraph.hypergraph import minimize_sets
+from repro.hypergraph.kernel import minimal_transversals_kernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressCallback, emit_progress
 
@@ -169,46 +171,73 @@ def minimal_transversals_berge(edges: Sequence[int],
     return sorted(current)
 
 
-def _kernel(edges: Sequence[int], num_vertices: int) -> List[int]:
-    from repro.hypergraph.kernel import minimal_transversals_kernel
-
-    return minimal_transversals_kernel(edges, num_vertices)
+#: The searches :func:`minimal_transversals` maps a method name to.
+METHODS = ("kernel", "levelwise", "berge")
 
 
-def _kernel_vectorized(edges: Sequence[int], num_vertices: int) -> List[int]:
-    from repro.hypergraph.kernel import minimal_transversals_kernel
+def resolve_transversal(method: str, max_size: Optional[int] = None) -> str:
+    """The canonical name of *method*, checked together with *max_size*.
 
-    return minimal_transversals_kernel(edges, num_vertices,
-                                       backend="vectorized")
-
-
-_METHODS = {
-    "levelwise": minimal_transversals_levelwise,
-    "berge": minimal_transversals_berge,
-    "kernel": _kernel,
-    "vectorized": _kernel_vectorized,
-}
-
-
-def resolve_transversal(method: str):
-    """The algorithm registered as *method*, or a typed :class:`ReproError`."""
-    try:
-        return _METHODS[method]
-    except KeyError:
+    Raises the typed :class:`ReproError` a search would raise for this
+    configuration: an unknown name, a *max_size* below 1, or a
+    *max_size* with ``"berge"``, which enumerates complete families
+    only.  ``"vectorized"`` resolves to ``"kernel"``.  ``DepMiner``
+    calls it at construction and
+    :func:`~repro.parallel.shards.parallel_cmax_lhs` before it ships
+    the name to its workers.
+    """
+    if method == "vectorized":
+        # The name of the kernel's deleted NumPy lane backend, kept only
+        # because perfbench/layers.py:217 and :295 still pass it; the
+        # benchmark change of ROADMAP item 1 drops it.
+        method = "kernel"
+    if method not in METHODS:
         raise ReproError(
             f"unknown transversal method {method!r}; "
-            f"choose from {sorted(_METHODS)}"
-        ) from None
+            f"choose from {sorted(METHODS)}"
+        )
+    if max_size is not None:
+        if method == "berge":
+            raise ReproError(
+                "max_size is only supported by the levelwise and kernel "
+                "methods"
+            )
+        if max_size < 1:
+            raise ReproError("max_size must be a positive integer or None")
+    return method
 
 
 def minimal_transversals(edges: Sequence[int], num_vertices: int,
-                         method: str = "levelwise") -> List[int]:
-    """Dispatch to a minimal-transversal algorithm by name.
+                         method: str = "levelwise",
+                         max_size: Optional[int] = None,
+                         metrics: Optional[MetricsRegistry] = None,
+                         progress: Optional[ProgressCallback] = None,
+                         tracer=None) -> List[int]:
+    """The minimal transversals of *edges* by the search named *method*.
 
-    *method* is ``"levelwise"`` (the paper's Algorithm 5, the default),
-    ``"berge"`` (sequential baseline), ``"kernel"`` (the reduction +
-    incremental-coverage kernel of :mod:`repro.hypergraph.kernel`) or
-    ``"vectorized"`` (the same kernel with the NumPy lane-packed batch
-    backend; falls back to the pure kernel when NumPy is missing).
+    The one place a method name becomes a search: ``"levelwise"`` (the
+    paper's Algorithm 5, the default), ``"kernel"`` (the reduction +
+    incremental-coverage kernel of :mod:`repro.hypergraph.kernel`,
+    ``DepMiner``'s default) or ``"berge"`` (the sequential oracle).
+    Every method returns the same sorted family.
+
+    *max_size* keeps the transversals of at most that many vertices
+    (levelwise and kernel only; see :func:`resolve_transversal`).
+    *metrics* and *progress* reach the levelwise and kernel searches
+    (the ``transversal.level_size`` / ``lhs.candidates_generated``
+    series, plus the kernel's reduction counters); *tracer* wraps the
+    kernel's reduction pass in a ``transversal.reduce`` span.  Berge
+    takes none of them.
     """
-    return resolve_transversal(method)(edges, num_vertices)
+    method = resolve_transversal(method, max_size)
+    if method == "kernel":
+        return minimal_transversals_kernel(
+            edges, num_vertices, max_size=max_size, metrics=metrics,
+            progress=progress, tracer=tracer,
+        )
+    if method == "levelwise":
+        return minimal_transversals_levelwise(
+            edges, num_vertices, max_size=max_size, metrics=metrics,
+            progress=progress,
+        )
+    return minimal_transversals_berge(edges, num_vertices)

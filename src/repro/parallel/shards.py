@@ -39,8 +39,11 @@ from repro.core.agree_sets import (
     resolve_couples_with_tables,
 )
 from repro.core.attributes import Schema
-from repro.core.lhs import check_transversal_options
 from repro.core.maximal_sets import maximal_sets_for_attribute
+from repro.hypergraph.transversals import (
+    minimal_transversals,
+    resolve_transversal,
+)
 from repro.obs import get_logger
 from repro.parallel import shm
 from repro.parallel.executor import ShardedExecutor, register_shard_kind
@@ -86,16 +89,11 @@ def _agree_identifiers_shard(shared, payload, metrics) -> Set[int]:
 def _lhs_attribute_shard(shared, payload, metrics):
     """``CMAX_SET`` + transversal search for one RHS attribute.
 
-    The shard-local *metrics* registry goes straight into the levelwise
-    search, so its candidate counters and ``transversal.level_size``
-    histogram flow back to the parent exactly as in a serial run.
+    The shard-local *metrics* registry goes straight into the search,
+    so its candidate counters, ``transversal.level_size`` histogram and
+    reduction counters flow back to the parent exactly as in a serial
+    run.
     """
-    from repro.hypergraph.kernel import minimal_transversals_kernel
-    from repro.hypergraph.transversals import (
-        minimal_transversals,
-        minimal_transversals_levelwise,
-    )
-
     attribute = payload
     agree: Optional[List[int]] = shared.get("agree")
     if agree is None:
@@ -107,24 +105,12 @@ def _lhs_attribute_shard(shared, payload, metrics):
 
         agree = unpack_masks(shared["agree_packed"])
         shared["agree"] = agree
-    universe: int = shared["universe"]
-    width: int = shared["width"]
-    method: str = shared["method"]
     max_masks = maximal_sets_for_attribute(agree, attribute)
-    cmax = sorted(universe & ~mask for mask in max_masks)
-    if method == "levelwise":
-        lhs = minimal_transversals_levelwise(
-            cmax, width, max_size=shared["max_size"], metrics=metrics
-        )
-    elif method in ("kernel", "vectorized"):
-        # The kernel's reduction counters flow back to the parent via
-        # the shard-local registry, exactly like the levelwise series.
-        lhs = minimal_transversals_kernel(
-            cmax, width, max_size=shared["max_size"], metrics=metrics,
-            backend="vectorized" if method == "vectorized" else "python",
-        )
-    else:
-        lhs = minimal_transversals(cmax, width, method=method)
+    cmax = sorted(shared["universe"] & ~mask for mask in max_masks)
+    lhs = minimal_transversals(
+        cmax, shared["width"], shared["method"],
+        max_size=shared["max_size"], metrics=metrics,
+    )
     return attribute, max_masks, cmax, lhs
 
 
@@ -197,12 +183,11 @@ def parallel_cmax_lhs(agree, schema: Schema,
     phases, reassembled in schema order regardless of which worker
     finished first.
     """
-    check_transversal_options(method, max_size)
     agree_sorted = sorted(agree)
     shared = {
         "width": len(schema),
         "universe": schema.universe_mask,
-        "method": method,
+        "method": resolve_transversal(method, max_size),
         "max_size": max_size,
     }
     if (len(agree_sorted) >= PACK_MIN_MASKS

@@ -54,11 +54,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.cache.incremental import IncrementalMiner
 from repro.cache.store import ArtifactStore
 from repro.columnar import load_mining_input
-from repro.core.armstrong import (
-    classical_armstrong,
-    real_world_armstrong,
-    real_world_armstrong_exists,
-)
 from repro.core.depminer import DepMiner
 from repro.core.keys_mining import keys_from_agree_sets
 from repro.core.relation import Relation, Schema
@@ -91,6 +86,14 @@ __all__ = ["ServiceConfig", "ServiceApp", "ReproServiceServer", "serve"]
 
 #: Request bodies above this are rejected (413) before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: ``GET .../armstrong?construction=`` → the miner's step-5 mode.
+_ARMSTRONG_MODES = {
+    "auto": "real-world",
+    "real-world": "strict",
+    "strict": "strict",
+    "classical": "classical",
+}
 
 
 @dataclasses.dataclass
@@ -413,8 +416,7 @@ class ServiceApp:
     def _armstrong(self, session: Session, query: Dict[str, str],
                    tracer: Tracer) -> Tuple[Dict[str, Any], int]:
         construction = query.get("construction", "auto")
-        if construction not in ("auto", "real-world", "strict",
-                                "classical"):
+        if construction not in _ARMSTRONG_MODES:
             raise ServiceError(
                 f"construction must be 'auto', 'strict' or 'classical'; "
                 f"got {construction!r}"
@@ -425,27 +427,26 @@ class ServiceApp:
                 max_rows = int(query["max_rows"])
             except ValueError:
                 raise ServiceError("'max_rows' must be an integer") from None
+        mode = _ARMSTRONG_MODES[construction]
         with session.lock:
             session.requests += 1
             result = session.miner.result
-            union = result.max_union
             with tracer.span("service.armstrong",
                              construction=construction):
-                if construction == "classical":
-                    used = "classical"
-                    armstrong = classical_armstrong(result.schema, union)
-                else:
-                    relation = session.miner.relation()
-                    if construction in ("strict", "real-world") or \
-                            real_world_armstrong_exists(relation, union):
-                        used = "real-world"
-                        # raises ArmstrongExistenceError (409) when the
-                        # domains are too small and the caller insisted
-                        armstrong = real_world_armstrong(relation, union)
-                    else:
-                        used = "classical"
-                        armstrong = classical_armstrong(result.schema,
-                                                        union)
+                relation = (None if mode == "classical"
+                            else session.miner.relation())
+                # The miner's own step 5: "strict" raises
+                # ArmstrongExistenceError (409) when the domains are too
+                # small and the caller insisted on real-world values.
+                real_world, classical = \
+                    session.miner.miner.armstrong_relations(
+                        result.schema, result.max_union, relation, mode,
+                        tracer,
+                    )
+            if real_world is None:
+                used, armstrong = "classical", classical
+            else:
+                used, armstrong = "real-world", real_world
             document = {
                 "construction": used,
                 "armstrong": relation_document(armstrong,

@@ -343,20 +343,40 @@ class TestParallelOrchestrators:
             maximal_sets,
         )
 
+        def counters(metrics):
+            return {
+                name: value
+                for name, value in metrics.snapshot()["counters"].items()
+                if not name.startswith("parallel.")
+            }
+
         relation = course_schedule_relation()
         schema = relation.schema
         spdb = StrippedPartitionDatabase.from_relation(relation)
         agree = agree_sets_from_couples(spdb)
         expected_max = maximal_sets(agree, schema)
         expected_cmax = complement_maximal_sets(expected_max, schema)
-        expected_lhs = left_hand_sides(expected_cmax, schema)
-        for jobs in (1,) + JOBS_GRID:
-            max_sets, cmax, lhs = parallel_cmax_lhs(
-                sorted(agree), schema, ShardedExecutor(jobs=jobs)
-            )
-            assert max_sets == expected_max
-            assert cmax == expected_cmax
-            assert lhs == expected_lhs
+        # Every method: the same families and the same search counters
+        # on the serial and the sharded tail.
+        for method in ("kernel", "levelwise", "berge"):
+            serial_metrics = MetricsRegistry()
+            expected_lhs = left_hand_sides(expected_cmax, schema,
+                                           method=method,
+                                           metrics=serial_metrics)
+            for jobs in (1,) + JOBS_GRID:
+                metrics = MetricsRegistry()
+                executor = ShardedExecutor(jobs=jobs, metrics=metrics)
+                try:
+                    max_sets, cmax, lhs = parallel_cmax_lhs(
+                        sorted(agree), schema, executor, method=method
+                    )
+                finally:
+                    executor.close()
+                assert max_sets == expected_max
+                assert cmax == expected_cmax
+                assert lhs == expected_lhs, (method, jobs)
+                assert counters(metrics) == counters(serial_metrics), \
+                    (method, jobs)
 
 
 class TestCliJobs:

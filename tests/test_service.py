@@ -59,6 +59,9 @@ def service():
         server.shutdown()
         thread.join(timeout=10)
         server.server_close()
+        # Deactivates a --fault-plan, which is process-global: left to
+        # the garbage collector, it reached later tests' registrations.
+        server.app.close()
 
 
 ROWS = [
@@ -341,6 +344,73 @@ class TestSessionState:
                                                            ATTRIBUTES)
         finally:
             app.close()
+
+
+class TestArmstrongEndpoint:
+    """``GET .../armstrong`` runs the session miner's own step 5, so
+    every construction serves the row-wise builders' relation on both
+    backends, and the 409 comes exactly when no real-world sample
+    exists and the caller insists on one."""
+
+    @staticmethod
+    def _relation(sample):
+        """``(attributes, rows)``: the paper's running example, which has
+        a real-world sample, or a relation whose columns hold too few
+        distinct values for one."""
+        if sample == "without-sample":
+            return ["A", "B", "C"], [[0, 0, 0], [1, 0, 1], [1, 1, 0]]
+        from repro.datasets import paper_example_relation
+
+        relation = paper_example_relation()
+        return (list(relation.schema.names),
+                [list(row) for row in relation.rows()])
+
+    @pytest.mark.parametrize("sample", ["with-sample", "without-sample"])
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_every_construction_matches_the_row_wise_builders(
+        self, service, backend, sample
+    ):
+        from repro.core.armstrong import (
+            classical_armstrong,
+            real_world_armstrong,
+            real_world_armstrong_exists,
+        )
+        from repro.service.protocol import relation_document
+
+        if backend == "columnar" and not numpy_available():
+            pytest.skip("columnar backend needs NumPy")
+        attributes, rows = self._relation(sample)
+        relation = Relation.from_rows(Schema(attributes),
+                                      [tuple(row) for row in rows])
+        union = DepMiner(build_armstrong="none").run(relation).max_union
+        exists = real_world_armstrong_exists(relation, union)
+        assert exists == (sample == "with-sample")
+        classical = ("classical", relation_document(
+            classical_armstrong(relation.schema, union)
+        ))
+        real_world = ("real-world", relation_document(
+            real_world_armstrong(relation, union)
+        )) if exists else None
+        expected = {
+            "auto": real_world or classical,
+            "real-world": real_world,
+            "strict": real_world,
+            "classical": classical,
+        }
+
+        _, client = service()
+        sid = client.register("armstrong", attributes=attributes, rows=rows,
+                              options={"backend": backend})["session"]["id"]
+        for construction, want in expected.items():
+            if want is None:
+                with pytest.raises(RemoteServiceError) as excinfo:
+                    client.armstrong(sid, construction)
+                assert excinfo.value.status == 409, construction
+                assert excinfo.value.error_type == "ArmstrongExistenceError"
+                continue
+            document = client.armstrong(sid, construction)
+            assert (document["construction"],
+                    document["armstrong"]) == want, construction
 
 
 class TestConcurrentSessions:

@@ -1,14 +1,15 @@
 """The layered transversal kernel: property suite, edge cases, wiring.
 
-The central contract: the kernel (with or without the vectorized
-backend, with or without the reduction pass) is extensionally identical
-to the paper's levelwise Algorithm 5, Berge's sequential method and the
-FastFDs-style DFS test oracle (:mod:`tests.dfs`) — on arbitrary simple
-hypergraphs, under ``max_size`` truncation, and end-to-end through
-``DepMiner`` at any ``jobs`` value.  The kernel runs no edge
-minimization, so raw families with duplicate, superset and singleton
-edges must also come out as the levelwise search of their minimized
-core.
+The central contract: the kernel (with or without the reduction pass)
+is extensionally identical to the paper's levelwise Algorithm 5,
+Berge's sequential method and the FastFDs-style DFS test oracle
+(:mod:`tests.dfs`) — on arbitrary simple hypergraphs, under
+``max_size`` truncation, and end-to-end through ``DepMiner`` at any
+``jobs`` value.  The kernel runs no edge minimization, so raw families
+with duplicate, superset and singleton edges must also come out as the
+levelwise search of their minimized core.  ``"vectorized"``, the name
+of the deleted NumPy lane backend, is an alias of ``"kernel"``
+wherever a method name is accepted.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.depminer import DepMiner
+from repro.core.lhs import left_hand_sides
 from repro.datagen.synthetic import generate_relation
 from repro.errors import ReproError
 from repro.hypergraph.hypergraph import minimize_sets
-from repro.hypergraph import kernel as kernel_module
 from repro.hypergraph.kernel import (
     minimal_transversals_kernel,
     reduce_hypergraph,
@@ -32,6 +33,7 @@ from repro.hypergraph.transversals import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.parallel import ShardedExecutor, parallel_cmax_lhs
 from tests.dfs import minimal_transversals_dfs
 
 
@@ -76,9 +78,6 @@ class TestAlgorithmEquivalence:
         edges, num_vertices = hypergraph
         expected = minimal_transversals_levelwise(edges, num_vertices)
         assert minimal_transversals_kernel(edges, num_vertices) == expected
-        assert minimal_transversals_kernel(
-            edges, num_vertices, backend="vectorized"
-        ) == expected
         assert minimal_transversals_berge(edges, num_vertices) == expected
         assert minimal_transversals_dfs(edges, num_vertices) == expected
 
@@ -89,10 +88,9 @@ class TestAlgorithmEquivalence:
         expected = minimal_transversals_levelwise(
             edges, num_vertices, max_size=cap
         )
-        for backend in ("python", "vectorized"):
-            assert minimal_transversals_kernel(
-                edges, num_vertices, max_size=cap, backend=backend
-            ) == expected
+        assert minimal_transversals_kernel(
+            edges, num_vertices, max_size=cap
+        ) == expected
 
     @given(raw_hypergraphs(),
            st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
@@ -107,10 +105,9 @@ class TestAlgorithmEquivalence:
         expected = minimal_transversals_levelwise(
             minimize_sets(edges), num_vertices, max_size=cap
         )
-        for backend in ("python", "vectorized"):
-            assert minimal_transversals_kernel(
-                edges, num_vertices, max_size=cap, backend=backend
-            ) == expected
+        assert minimal_transversals_kernel(
+            edges, num_vertices, max_size=cap
+        ) == expected
         assert minimal_transversals_kernel(
             edges, num_vertices, max_size=cap, reductions=False
         ) == expected
@@ -138,42 +135,33 @@ class TestAlgorithmEquivalence:
 
 
 class TestDirectedEdgeCases:
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_empty_hypergraph(self, backend):
-        assert minimal_transversals_kernel([], 4, backend=backend) == [0]
+    def test_empty_hypergraph(self):
+        assert minimal_transversals_kernel([], 4) == [0]
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_singleton_edges_are_committed_as_essential(self, backend):
+    def test_singleton_edges_are_committed_as_essential(self):
         # {0} and {1} force both vertices; {2,3} branches.
         edges = [0b0001, 0b0010, 0b1100]
-        assert minimal_transversals_kernel(edges, 4, backend=backend) == \
+        assert minimal_transversals_kernel(edges, 4) == \
             sorted([0b0111, 0b1011])
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_only_singleton_edges(self, backend):
-        assert minimal_transversals_kernel(
-            [0b01, 0b10], 2, backend=backend
-        ) == [0b11]
+    def test_only_singleton_edges(self):
+        assert minimal_transversals_kernel([0b01, 0b10], 2) == [0b11]
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_duplicated_incidence_vertices_expand_by_substitution(
-        self, backend
-    ):
+    def test_duplicated_incidence_vertices_expand_by_substitution(self):
         # Vertices 0,1 share all edges, as do 2,3: one search over the
         # two representatives, four expanded transversals.
         edges = [0b0011, 0b1100]
-        assert minimal_transversals_kernel(edges, 4, backend=backend) == \
+        assert minimal_transversals_kernel(edges, 4) == \
             minimal_transversals_levelwise(edges, 4)
 
-    @pytest.mark.parametrize("backend", ["python", "vectorized"])
-    def test_disconnected_components_cross_product(self, backend):
+    def test_disconnected_components_cross_product(self):
         # {0,1} and {2,3} are independent: 2 x 2 transversals.
         edges = [0b0011, 0b1100]
-        result = minimal_transversals_kernel(edges, 4, backend=backend)
+        result = minimal_transversals_kernel(edges, 4)
         assert len(result) == 4
         # Three components, sizes 2/2/1.
         edges = [0b000011, 0b001100, 0b010000]
-        result = minimal_transversals_kernel(edges, 6, backend=backend)
+        result = minimal_transversals_kernel(edges, 6)
         assert result == minimal_transversals_levelwise(edges, 6)
         assert len(result) == 4
 
@@ -207,10 +195,6 @@ class TestDirectedEdgeCases:
     def test_rejects_invalid_max_size(self):
         with pytest.raises(ReproError, match="max_size"):
             minimal_transversals_kernel([0b1], 1, max_size=0)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            minimal_transversals_kernel([0b1], 1, backend="gpu")
 
     def test_superset_edges_are_dropped(self):
         # Committing the essential vertex 0 satisfies both supersets.
@@ -313,13 +297,77 @@ class TestDepMinerWiring:
         assert counters.get("transversal.components", 0) >= 1
 
 
-class TestNumpyAbsence:
-    def test_vectorized_kernel_falls_back_to_pure_python(self, monkeypatch):
-        edges = [0b0011, 0b0101, 0b1110]
-        expected = minimal_transversals_kernel(edges, 4)
-        monkeypatch.setattr(kernel_module, "np", None)
-        monkeypatch.setattr(kernel_module, "_warned_numpy_missing", False)
-        assert minimal_transversals_kernel(
-            edges, 4, backend="vectorized"
-        ) == expected
-        assert kernel_module._warned_numpy_missing
+class TestVectorizedAlias:
+    """``"vectorized"`` named the deleted NumPy lane backend; it is now
+    an alias of ``"kernel"`` wherever a method name is accepted, and
+    every entry point keeps its errors."""
+
+    @pytest.fixture(scope="class")
+    def mined(self):
+        relation = generate_relation(8, 150, correlation=0.6, seed=3)
+        return DepMiner(build_armstrong="none").run(relation)
+
+    def test_minimal_transversals(self, mined):
+        width = len(mined.schema)
+        for edges in mined.cmax_sets.values():
+            for cap in (None, 2):
+                assert minimal_transversals(
+                    edges, width, "vectorized", max_size=cap
+                ) == minimal_transversals(edges, width, "kernel",
+                                          max_size=cap)
+
+    def test_left_hand_sides(self, mined):
+        results = {}
+        for method in ("kernel", "vectorized"):
+            metrics = MetricsRegistry()
+            lhs = left_hand_sides(mined.cmax_sets, mined.schema,
+                                  method=method, metrics=metrics)
+            results[method] = (lhs, metrics.snapshot()["counters"])
+        assert results["vectorized"] == results["kernel"]
+        assert results["kernel"][0] == mined.lhs_sets
+
+    def test_parallel_cmax_lhs_at_two_jobs(self, mined):
+        outputs = {}
+        for method in ("kernel", "vectorized"):
+            executor = ShardedExecutor(jobs=2)
+            try:
+                outputs[method] = parallel_cmax_lhs(
+                    sorted(mined.agree_sets), mined.schema, executor,
+                    method=method,
+                )
+            finally:
+                executor.close()
+        assert outputs["vectorized"] == outputs["kernel"]
+        assert outputs["kernel"][2] == mined.lhs_sets
+
+    def test_depminer_stores_the_canonical_name(self, mined):
+        miner = DepMiner(transversal_algorithm="vectorized")
+        assert miner.transversal_algorithm == "kernel"
+        # ... so the alias shares the kernel's cached covers.
+        keys, _ = miner.stage_keys("k", mined.schema, 1)
+        kernel_keys, _ = DepMiner().stage_keys("k", mined.schema, 1)
+        assert keys.cover == kernel_keys.cover
+
+    def test_cli_rejects_the_name(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["discover", str(tmp_path / "r.csv"),
+                  "--transversal", "vectorized"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,max_size,message", [
+        ("wrong", None, "unknown transversal method 'wrong'"),
+        ("berge", 2, "max_size is only supported by the levelwise"),
+    ], ids=["unknown-method", "berge-max-size"])
+    def test_errors_on_every_entry_point(self, mined, method, max_size,
+                                         message):
+        with pytest.raises(ReproError, match=message):
+            DepMiner(transversal_algorithm=method, max_lhs_size=max_size)
+        with pytest.raises(ReproError, match=message):
+            left_hand_sides(mined.cmax_sets, mined.schema, method=method,
+                            max_size=max_size)
+        with pytest.raises(ReproError, match=message):
+            parallel_cmax_lhs([], mined.schema, ShardedExecutor(jobs=2),
+                              method=method, max_size=max_size)
