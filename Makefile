@@ -134,6 +134,7 @@ cache-smoke:
 serve-smoke:
 	$(PYTHON) scripts/check_serve.py
 	$(PYTHON) scripts/check_serve.py --backend columnar
+	$(PYTHON) scripts/check_serve.py --jobs 2 --stop sigterm
 
 # The noise-aware perf-regression gate: re-runs the obs / cache /
 # transversal / columnar / ingest / serve bench suites against the

@@ -4,6 +4,7 @@
 Usage::
 
     python scripts/check_serve.py [--backend python|columnar] [--jobs N]
+                                  [--stop shutdown|sigterm]
 
 Boots a real ``repro serve`` process on an ephemeral port, drives the
 whole session lifecycle over HTTP, and asserts the properties the
@@ -16,7 +17,11 @@ service exists to provide:
 - failures come back as structured, typed JSON error documents (an
   unknown session is a 404 ``SessionNotFoundError``);
 - every request leaves a valid run manifest in ``--telemetry-dir``;
-- ``POST /shutdown`` drains and the process exits 0.
+- one client's requests share a kept-alive connection (the daemon's
+  ``service.connections`` counter reads at most 2);
+- ``POST /shutdown`` drains and the process exits 0, or, with
+  ``--stop sigterm``, SIGTERM to the daemon's process group (as
+  ``timeout`` sends it, worker pool included) stops it within 15 s.
 
 Exits non-zero with one line per problem.
 """
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -50,10 +56,13 @@ ROWS = [
 ]
 ATTRIBUTES = ["a", "b", "c", "d"]
 EXTRA = [["4", "w", "0", "s"], ["4", "w", "1", "s"]]
+#: Seconds a stopped daemon may take to exit.
+STOP_TIMEOUT = 15
 
 
 def start_server(telemetry: Path, backend: str, jobs: int):
-    """Launch ``repro serve`` and wait for its startup line."""
+    """Launch ``repro serve``, in a process group of its own, and wait
+    for its startup line."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -64,7 +73,7 @@ def start_server(telemetry: Path, backend: str, jobs: int):
          "--backend", backend, "--jobs", str(jobs),
          "--telemetry-dir", str(telemetry)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env,
+        env=env, start_new_session=True,
     )
     assert process.stdout is not None
     deadline = time.monotonic() + 30
@@ -140,7 +149,28 @@ def drive(client: ServiceClient, backend: str, jobs: int) -> list:
     expect(stats["registry"]["sessions"] == 2, "session count wrong")
     expect(stats["counters"].get("service.errors", 0) >= 1,
            "error counter did not move")
+    connections = stats["counters"].get("service.connections", 0)
+    expect(1 <= connections <= 2,
+           f"one client's requests ran over {connections} connections, "
+           f"wanted at most 2 (keep-alive)")
     return problems
+
+
+def stop_by_sigterm(process) -> list:
+    """SIGTERM to the daemon's whole process group, as ``timeout``
+    sends it; the daemon must exit 0 within :data:`STOP_TIMEOUT`."""
+    start = time.monotonic()
+    os.killpg(process.pid, signal.SIGTERM)
+    try:
+        exit_code = process.wait(timeout=STOP_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return [f"daemon still running {STOP_TIMEOUT} s after SIGTERM "
+                f"to its process group"]
+    print(f"serve-smoke: SIGTERM to the process group: exit {exit_code} "
+          f"after {time.monotonic() - start:.2f} s")
+    if exit_code != 0:
+        return [f"server exited {exit_code} after SIGTERM"]
+    return []
 
 
 def check_manifests(telemetry: Path) -> list:
@@ -167,6 +197,10 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", default="python",
                         choices=("python", "columnar"))
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--stop", default="shutdown",
+                        choices=("shutdown", "sigterm"),
+                        help="stop the daemon with POST /shutdown or with "
+                             "SIGTERM to its process group")
     args = parser.parse_args(argv)
 
     problems = []
@@ -177,17 +211,21 @@ def main(argv=None) -> int:
         client = ServiceClient(base_url, timeout=60.0)
         try:
             problems += drive(client, args.backend, args.jobs)
-            reply = client.shutdown()
-            if reply.get("status") != "shutting down":
-                problems.append(f"unexpected shutdown reply: {reply}")
-            exit_code = process.wait(timeout=30)
-            if exit_code != 0:
-                problems.append(
-                    f"server exited {exit_code} after graceful shutdown"
-                )
+            if args.stop == "sigterm":
+                problems += stop_by_sigterm(process)
+            else:
+                reply = client.shutdown()
+                if reply.get("status") != "shutting down":
+                    problems.append(f"unexpected shutdown reply: {reply}")
+                exit_code = process.wait(timeout=30)
+                if exit_code != 0:
+                    problems.append(
+                        f"server exited {exit_code} after graceful shutdown"
+                    )
         finally:
+            client.close()
             if process.poll() is None:
-                process.terminate()
+                os.killpg(process.pid, signal.SIGKILL)
                 process.wait(timeout=10)
         problems += check_manifests(telemetry)
 
@@ -195,7 +233,7 @@ def main(argv=None) -> int:
         print(f"serve-smoke: {problem}")
     if not problems:
         print(f"serve-smoke: OK (backend={args.backend}, "
-              f"jobs={args.jobs})")
+              f"jobs={args.jobs}, stop={args.stop})")
     return 1 if problems else 0
 
 

@@ -68,7 +68,9 @@ identical to ``jobs=1``.  See ``docs/parallel.md``.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import threading
 import time
 import traceback
@@ -340,6 +342,46 @@ def _shard_function(kind: str):
 
 # -- the persistent pool -----------------------------------------------------
 
+def _reset_worker_signals() -> None:
+    """Pool initializer: workers die by SIGTERM, and only their pool's.
+
+    ``Pool.terminate()`` takes the task queue's read lock, then stops
+    the workers with SIGTERM and joins them.  Two ways to hang it:
+
+    - a forked worker inherits the parent's Python SIGTERM handler
+      (``repro serve`` and perfbench install one), runs it instead of
+      dying, blocks on the lock the parent now holds and is joined
+      forever — so the default action is restored.  Workers start with
+      SIGTERM blocked (:func:`_sigterm_blocked`), so a SIGTERM that
+      arrives before this runs waits for it instead of meeting the
+      inherited handler;
+    - a signal to the whole process group (``timeout``, Ctrl-C) kills an
+      idle worker while it holds that lock, and ``terminate()`` waits
+      for the lock forever — so the worker leaves the parent's process
+      group, and the parent, which gets the signal, stops its pool.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(os, "setpgrp"):
+        os.setpgrp()
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
+@contextlib.contextmanager
+def _sigterm_blocked():
+    """Block SIGTERM in this thread while it builds a pool: the workers
+    it forks, and the pool's helper threads (which fork replacements),
+    inherit the mask until :func:`_reset_worker_signals` lifts it."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def _shutdown_pool(pool) -> None:
     """Finalizer target: tear a pool down without referencing its owner."""
     try:
@@ -411,7 +453,9 @@ class PersistentPool:
                 resource_tracker.ensure_running()
             except Exception:  # noqa: BLE001 - tracker is best-effort
                 pass
-            self._pool = self._context().Pool(processes=self.jobs)
+            with _sigterm_blocked():
+                self._pool = self._context().Pool(
+                    processes=self.jobs, initializer=_reset_worker_signals)
             self._finalizer = weakref.finalize(
                 self, _shutdown_pool, self._pool
             )

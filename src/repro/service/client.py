@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import http.client
 import json
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Optional, Sequence
+import threading
+import urllib.parse
+import weakref
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.service.protocol import PROTOCOL_VERSION
@@ -38,12 +39,45 @@ class RemoteServiceError(ReproError):
                 f"{super().__str__()}")
 
 
+class _Slot:
+    """One thread's connection, closed when the thread's locals go."""
+
+    __slots__ = ("connection", "__weakref__")
+
+    def __init__(self, connection: http.client.HTTPConnection):
+        self.connection = connection
+
+    def __del__(self) -> None:
+        self.connection.close()
+
+
 class ServiceClient:
-    """Blocking JSON-over-HTTP client, one instance per server."""
+    """Blocking JSON-over-HTTP client, one instance per server.
+
+    Each thread that uses the client keeps one HTTP/1.1 connection open
+    across its requests.  A request is retried once, on a fresh
+    connection, only when a *reused* connection fails before any byte of
+    the response arrives (the daemon closed it while idle) and the
+    failure is not a timeout: the daemon closes connections only between
+    requests, so the retried request was never applied.  :meth:`close`
+    — or leaving a ``with`` block — closes every connection the client
+    holds.
+    """
 
     def __init__(self, base_url: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._slots: "weakref.WeakSet[_Slot]" = weakref.WeakSet()
 
     # -- transport -----------------------------------------------------------
 
@@ -54,40 +88,21 @@ class ServiceClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + route, data=body, headers=headers,
-            method=method,
-        )
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                document = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = error.read().decode("utf-8", "replace")
+        status, reason, raw = self._exchange(method, self._prefix + route,
+                                             body, headers)
+        if not 200 <= status < 300:
+            text = raw.decode("utf-8", "replace")
             try:
-                document = json.loads(raw)
+                document = json.loads(text)
             except json.JSONDecodeError:
-                raise RemoteServiceError(
-                    raw.strip() or error.reason, error.code
-                ) from None
+                raise RemoteServiceError(text.strip() or reason,
+                                         status) from None
             detail = document.get("error", {})
             raise RemoteServiceError(
-                detail.get("message", error.reason), error.code,
+                detail.get("message", reason), status,
                 detail.get("type", "InternalError"),
-            ) from None
-        except urllib.error.URLError as error:
-            raise RemoteServiceError(
-                f"cannot reach {self.base_url}: {error.reason}", 0,
-                "ConnectionError",
-            ) from None
-        except (OSError, http.client.HTTPException) as error:
-            # The connection died mid-response (e.g. the daemon closed
-            # the socket while shutting down) — urllib only wraps
-            # errors raised before the response starts.
-            raise RemoteServiceError(
-                f"connection to {self.base_url} failed: {error!r}", 0,
-                "ConnectionError",
-            ) from None
+            )
+        document = json.loads(raw.decode("utf-8"))
         protocol = document.get("protocol")
         if protocol is not None and protocol > PROTOCOL_VERSION:
             raise RemoteServiceError(
@@ -95,6 +110,78 @@ class ServiceClient:
                 f"understands {PROTOCOL_VERSION}", 0, "ProtocolError",
             )
         return document
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes],
+                  headers: Dict[str, str]) -> Tuple[int, str, bytes]:
+        """One round trip on this thread's connection: (status, reason,
+        body), with the single retry of a stale kept-alive connection."""
+        retried = False
+        while True:
+            connection = self._connection()
+            reused = connection.sock is not None
+            stage = "send"
+            try:
+                connection.request(method, path, body=body,
+                                   headers=headers)
+                stage = "status"
+                response = connection.getresponse()
+                stage = "body"
+                return response.status, response.reason, response.read()
+            except (OSError, http.client.HTTPException) as error:
+                self._discard()
+                if (reused and not retried and stage != "body"
+                        and isinstance(error, (ConnectionResetError,
+                                               BrokenPipeError))):
+                    retried = True
+                    continue
+                if stage == "send":
+                    raise RemoteServiceError(
+                        f"cannot reach {self.base_url}: {error}", 0,
+                        "ConnectionError",
+                    ) from None
+                # The connection died mid-response (e.g. the daemon
+                # closed the socket while shutting down).
+                raise RemoteServiceError(
+                    f"connection to {self.base_url} failed: {error!r}", 0,
+                    "ConnectionError",
+                ) from None
+
+    def _connection(self) -> http.client.HTTPConnection:
+        slot = getattr(self._local, "slot", None)
+        if slot is None:
+            host, port = self._address
+            slot = _Slot(self._connection_class(host, port,
+                                                timeout=self.timeout))
+            self._local.slot = slot
+            with self._lock:
+                self._slots.add(slot)
+        return slot.connection
+
+    def _discard(self) -> None:
+        slot = getattr(self._local, "slot", None)
+        if slot is not None:
+            del self._local.slot
+            slot.connection.close()
+
+    def close(self, session_id: Optional[str] = None
+              ) -> Optional[Dict[str, Any]]:
+        """Without arguments, close every connection this client holds
+        (a later request opens a new one).  With a *session_id*, close
+        that session on the daemon (``DELETE /sessions/<id>``) and
+        return the response."""
+        if session_id is not None:
+            return self.request("DELETE", f"/sessions/{session_id}")
+        with self._lock:
+            slots = list(self._slots)
+        for slot in slots:
+            slot.connection.close()
+        return None
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- endpoints -----------------------------------------------------------
 
@@ -153,9 +240,6 @@ class ServiceClient:
         if params:
             route += "?" + "&".join(params)
         return self.request("GET", route)
-
-    def close(self, session_id: str) -> Dict[str, Any]:
-        return self.request("DELETE", f"/sessions/{session_id}")
 
     def shutdown(self) -> Dict[str, Any]:
         return self.request("POST", "/shutdown")

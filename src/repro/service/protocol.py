@@ -45,6 +45,9 @@ __all__ = [
     "miner_options",
     "error_document",
     "http_status_for",
+    "EncodedDocument",
+    "merged",
+    "encode_response",
     "cover_document",
     "keys_document",
     "relation_document",
@@ -189,17 +192,76 @@ def error_document(error: BaseException) -> Dict[str, Any]:
 
 # -- responses ---------------------------------------------------------------
 
-def _fd_document(fd) -> Dict[str, Any]:
-    return {"lhs": list(fd.lhs.names), "rhs": fd.rhs}
+class EncodedDocument(dict):
+    """A response part that carries its own UTF-8 JSON encoding.
+
+    A session builds each read document once per mining result and
+    serves it many times; :func:`encode_response` splices
+    :attr:`encoded` into every response instead of serializing the
+    document again.  The bytes do not follow mutations, so treat the
+    dict as read-only.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, document: Dict[str, Any]):
+        super().__init__(document)
+        self.encoded = json.dumps(self).encode("utf-8")
+
+
+class _Merged(dict):
+    """A response whose leading members are an :class:`EncodedDocument`'s."""
+
+    __slots__ = ("base",)
+
+
+def merged(base: EncodedDocument, **members: Any) -> Dict[str, Any]:
+    """``{**base, **members}``, encoded by splicing *base*'s bytes."""
+    document = _Merged(base)
+    document.base = base
+    document.update(members)
+    return document
+
+
+def encode_response(document: Dict[str, Any]) -> bytes:
+    """``json.dumps(document)`` as UTF-8, reusing memoized encodings.
+
+    A member whose value is an :class:`EncodedDocument`, and every
+    member a :func:`merged` response takes from its base, is written
+    from bytes encoded earlier; only the rest — the per-request parts
+    such as ``session``, ``counters`` and ``protocol`` — is encoded here.
+    """
+    base = document.base if isinstance(document, _Merged) else None
+    parts = [base.encoded[1:-1]] if base else []
+    for key, value in document.items():
+        if base is not None and key in base:
+            continue
+        encoded = (value.encoded if isinstance(value, EncodedDocument)
+                   else json.dumps(value).encode("utf-8"))
+        parts.append(json.dumps(key).encode("utf-8") + b": " + encoded)
+    return b"{" + b", ".join(parts) + b"}"
 
 
 def cover_document(result) -> Dict[str, Any]:
-    """The FD cover (plus cheap summary stats) of a mining result."""
+    """The FD cover (plus cheap summary stats) of a mining result.
+
+    A cover repeats a few lhs sets over many FDs, so each distinct lhs
+    resolves its attribute names once and its FDs share that list.
+    """
+    names = result.schema.names
+    lhs_names: Dict[int, List[str]] = {}
+    fds = []
+    for fd in result.fds:
+        mask = fd.lhs.mask
+        lhs = lhs_names.get(mask)
+        if lhs is None:
+            lhs = lhs_names[mask] = list(fd.lhs.names)
+        fds.append({"lhs": lhs, "rhs": names[fd.rhs_index]})
     return {
-        "fds": [_fd_document(fd) for fd in result.fds],
+        "fds": fds,
         "count": len(result.fds),
         "num_rows": result.num_rows,
-        "attributes": list(result.schema.names),
+        "attributes": list(names),
         "stats": {key: value for key, value in result.stats.items()
                   if isinstance(value, int)},
         "phase_seconds": {name: round(seconds, 6) for name, seconds

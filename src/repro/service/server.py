@@ -1,8 +1,8 @@
 """The discovery daemon: ``repro serve``.
 
 A long-lived, stdlib-only HTTP+JSON service
-(:class:`http.server.ThreadingHTTPServer`, one thread per request)
-that keeps registered relations *warm*: each session holds an
+(:class:`http.server.ThreadingHTTPServer`, one thread per kept-alive
+connection) that keeps registered relations *warm*: each session holds an
 :class:`~repro.cache.incremental.IncrementalMiner`, so appends re-mine
 only the delta, and every session shares one process-wide
 :class:`~repro.cache.store.ArtifactStore` — re-registering a relation
@@ -35,6 +35,11 @@ Observability: each request runs under its own
 flagged as a phase) and :class:`~repro.obs.metrics.MetricsRegistry`;
 counters fold into the process-wide registry served by ``/stats``, and
 with ``--telemetry-dir`` every request writes a run manifest.
+
+Reads cost transport: a session builds and encodes each read document
+(cover, keys, each Armstrong construction) once per mining result, and
+the handler splices those bytes into a response written in one
+``write`` with Nagle's algorithm off.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
+import selectors
 import signal
 import tempfile
 import threading
@@ -70,9 +76,12 @@ from repro.service import protocol
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     SERVICE_NAME,
+    EncodedDocument,
+    encode_response,
     error_document,
     http_status_for,
     keys_document,
+    merged,
     miner_options,
     parse_body,
     parse_rows,
@@ -86,6 +95,19 @@ __all__ = ["ServiceConfig", "ServiceApp", "ReproServiceServer", "serve"]
 
 #: Request bodies above this are rejected (413) before parsing.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: A kept-alive connection that sends no request for this long is closed.
+KEEPALIVE_IDLE_SECONDS = 30.0
+
+#: How often a handler waiting on an idle connection checks whether the
+#: server is stopping (``serve_forever``'s own poll interval).
+IDLE_POLL_SECONDS = 0.1
+
+# The selector socketserver itself waits with.
+if hasattr(selectors, "PollSelector"):
+    _Selector = selectors.PollSelector
+else:
+    _Selector = selectors.SelectSelector
 
 #: ``GET .../armstrong?construction=`` → the miner's step-5 mode.
 _ARMSTRONG_MODES = {
@@ -404,13 +426,8 @@ class ServiceApp:
         with session.lock:
             session.requests += 1
             with tracer.span("service.keys"):
-                # ag(r) was mined under the session's null semantics,
-                # so the keys need no re-strip of the grown relation.
-                result = session.miner.result
-                keys = keys_from_agree_sets(result.agree_sets,
-                                            result.schema)
-            document = keys_document(keys)
-            document["session"] = session.document()
+                keys = session.memo("keys", _keys_document)
+            document = merged(keys, session=session.document())
         return document, 200
 
     def _armstrong(self, session: Session, query: Dict[str, str],
@@ -428,39 +445,98 @@ class ServiceApp:
             except ValueError:
                 raise ServiceError("'max_rows' must be an integer") from None
         mode = _ARMSTRONG_MODES[construction]
-        with session.lock:
-            session.requests += 1
-            result = session.miner.result
-            with tracer.span("service.armstrong",
-                             construction=construction):
-                relation = (None if mode == "classical"
-                            else session.miner.relation())
-                # The miner's own step 5: "strict" raises
-                # ArmstrongExistenceError (409) when the domains are too
-                # small and the caller insisted on real-world values.
-                real_world, classical = \
-                    session.miner.miner.armstrong_relations(
-                        result.schema, result.max_union, relation, mode,
-                        tracer,
-                    )
+
+        def build(result) -> Tuple[str, EncodedDocument, Relation]:
+            relation = (None if mode == "classical"
+                        else session.miner.relation())
+            # The miner's own step 5: "strict" raises
+            # ArmstrongExistenceError (409) when the domains are too
+            # small and the caller insisted on real-world values.
+            real_world, classical = session.miner.miner.armstrong_relations(
+                result.schema, result.max_union, relation, mode, tracer,
+            )
             if real_world is None:
                 used, armstrong = "classical", classical
             else:
                 used, armstrong = "real-world", real_world
+            return used, EncodedDocument(relation_document(armstrong)), \
+                armstrong
+
+        with session.lock:
+            session.requests += 1
+            with tracer.span("service.armstrong",
+                             construction=construction):
+                used, served, armstrong = session.memo(
+                    f"armstrong.{mode}", build)
+            if max_rows is not None:
+                served = relation_document(armstrong, max_rows=max_rows)
             document = {
                 "construction": used,
-                "armstrong": relation_document(armstrong,
-                                               max_rows=max_rows),
+                "armstrong": served,
                 "session": session.document(),
             }
         return document, 200
 
 
+def _keys_document(result) -> EncodedDocument:
+    # ag(r) was mined under the session's null semantics, so the keys
+    # need no re-strip of the grown relation.
+    return EncodedDocument(keys_document(
+        keys_from_agree_sets(result.agree_sets, result.schema)))
+
+
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """Thin HTTP adapter over :class:`ServiceApp`."""
+    """Thin HTTP adapter over :class:`ServiceApp`: one instance (and
+    thread) per connection, which stays open between requests."""
 
     protocol_version = "HTTP/1.1"
     server_version = f"{SERVICE_NAME}/{PROTOCOL_VERSION}"
+    # A response is one write; without Nagle's algorithm it leaves at
+    # once instead of waiting for the client's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.app.metrics.inc("service.connections")
+
+    def handle(self) -> None:
+        """Serve the connection's requests until the client closes it,
+        it idles past :data:`KEEPALIVE_IDLE_SECONDS` or the server
+        stops.  A connection is only ever closed between requests."""
+        self.close_connection = True
+        try:
+            self.handle_one_request()
+            while not self.close_connection and self._await_request():
+                self.handle_one_request()
+        except ConnectionError:
+            logger.debug("%s dropped the connection", self.address_string())
+
+    def _await_request(self) -> bool:
+        """Wait, in :data:`IDLE_POLL_SECONDS` slices, for the next
+        request's first bytes; False when the connection should close
+        instead."""
+        if self._request_buffered():
+            return True
+        idle_until = time.monotonic() + KEEPALIVE_IDLE_SECONDS
+        with _Selector() as selector:
+            selector.register(self.connection, selectors.EVENT_READ)
+            while not self.server.stopping:
+                if selector.select(IDLE_POLL_SECONDS):
+                    return True
+                if time.monotonic() >= idle_until:
+                    return False
+        return False
+
+    def _request_buffered(self) -> bool:
+        """Has ``rfile`` already read bytes of the next request (a
+        pipelining client)?  Asked without blocking."""
+        self.connection.setblocking(False)
+        try:
+            return bool(self.rfile.peek(1))
+        except OSError:
+            return True  # let handle_one_request meet the error
+        finally:
+            self.connection.settimeout(self.timeout)
 
     # BaseHTTPRequestHandler logs to stderr by default; route through
     # the module logger so `repro serve -q` stays quiet.
@@ -508,18 +584,33 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             app.finish_request(method, route, status, tracer, metrics)
         except Exception:  # noqa: BLE001 - telemetry must not kill replies
             logger.exception("per-request telemetry failed")
-        self._send_json(status, document)
         if app.shutdown_requested.is_set():
+            # Started before the reply goes out, so a client that reads
+            # "shutting down" can already join the stopping thread.
             self._trigger_shutdown()
+        self._send_json(status, document)
 
     def _read_body(self, method: str) -> bytes:
+        """The request body.  A body left unread — too large, of a
+        malformed length, chunked, or sent with a GET or DELETE — closes
+        the connection after the response, or its bytes would be parsed
+        as the next request."""
+        declared = self.headers.get("Content-Length")
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
         if method not in ("POST", "PUT"):
+            if declared not in (None, "", "0"):
+                self.close_connection = True
             return b""
         try:
-            length = int(self.headers.get("Content-Length", 0) or 0)
+            length = int(declared or 0)
+            if length < 0:
+                raise ValueError(length)
         except ValueError:
+            self.close_connection = True
             raise ServiceError("malformed Content-Length header") from None
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
@@ -528,16 +619,21 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         return self.rfile.read(length) if length else b""
 
     def _send_json(self, status: int, document: Dict[str, Any]) -> None:
-        import json
-
-        body = json.dumps(document).encode("utf-8")
+        body = encode_response(document)
+        if self.server.stopping:
+            self.close_connection = True
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            # end_headers() would write the head on its own: status
+            # line, headers and body go out in one write instead.
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
             logger.debug("client went away before the response was sent")
 
     def _trigger_shutdown(self) -> None:
@@ -563,7 +659,9 @@ class ReproServiceServer(ThreadingHTTPServer):
     ``daemon_threads`` stays False (with ``block_on_close``) so a
     graceful shutdown — ``POST /shutdown`` or SIGTERM — drains every
     in-flight request before the process exits; no client ever sees a
-    connection die mid-mine.
+    connection die mid-mine.  A handler parked on an idle kept-alive
+    connection sees :attr:`stopping` within :data:`IDLE_POLL_SECONDS`
+    and closes it, so ``server_close()`` never waits on an idle client.
     """
 
     daemon_threads = False
@@ -575,7 +673,23 @@ class ReproServiceServer(ThreadingHTTPServer):
         self.app = app if app is not None else ServiceApp(config)
         self.config = config
         self._shutdown_started = False
+        self._stopping = threading.Event()
         super().__init__((config.host, config.port), _ServiceHandler)
+
+    @property
+    def stopping(self) -> bool:
+        """Has a stop begun: ``shutdown()``, ``server_close()``,
+        ``POST /shutdown`` or a signal?"""
+        return (self._stopping.is_set()
+                or self.app.shutdown_requested.is_set())
+
+    def shutdown(self) -> None:
+        self._stopping.set()
+        super().shutdown()
+
+    def server_close(self) -> None:
+        self._stopping.set()
+        super().server_close()
 
     @property
     def port(self) -> int:

@@ -56,8 +56,8 @@ class Session:
         self.last_used = time.monotonic()
         self.appends = 0
         self.requests = 0
-        self._cover_result = None
-        self._cover: Dict[str, Any] = {}
+        self._memo_result = None
+        self._memo: Dict[str, Any] = {}
 
     def touch(self) -> None:
         self.last_used = time.monotonic()
@@ -85,18 +85,24 @@ class Session:
         finally:
             miner.tracer, miner.metrics = saved
 
-    def cover_document(self) -> Dict[str, Any]:
-        """The cover document of the miner's current result.
+    def memo(self, name: str, build: Callable[[Any], Any]) -> Any:
+        """``build(result)`` for the miner's current result, built once.
 
-        Built once per result: only an append replaces the result, so
-        every read in between serves the same document.  Callers hold
-        ``self.lock`` and must not mutate what they get.
+        Only an append replaces the result, so every read in between is
+        served from the same value; a build that raises is not kept.
+        Callers hold ``self.lock`` and must not mutate what they get.
         """
         result = self.miner.result
-        if self._cover_result is not result:
-            self._cover = protocol.cover_document(result)
-            self._cover_result = result
-        return self._cover
+        if self._memo_result is not result:
+            self._memo_result, self._memo = result, {}
+        if name not in self._memo:
+            self._memo[name] = build(result)
+        return self._memo[name]
+
+    def cover_document(self) -> protocol.EncodedDocument:
+        """The encoded cover document of the miner's current result."""
+        return self.memo("cover", lambda result: protocol.EncodedDocument(
+            protocol.cover_document(result)))
 
     def document(self) -> Dict[str, Any]:
         """The JSON description of this session (no cover payload)."""

@@ -233,3 +233,71 @@ class TestDispatchFallbacks:
         assert stats["builds"] == 1
         assert stats["maps"] == 2
         executor.close()
+
+
+def _worker_signals(_):
+    """(SIGTERM runs its default action, the worker's process group)."""
+    import signal
+
+    return (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+            os.getpgrp() if hasattr(os, "getpgrp") else None)
+
+
+#: Rounds of ensure/map/close under a parent SIGTERM handler; a pool
+#: whose workers kept that handler hung within a few hundred.
+_SIGTERM_ROUNDS = 150
+_SIGTERM_LOOP = f"""
+import signal, sys
+from repro.parallel import PersistentPool
+
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+for _ in range({_SIGTERM_ROUNDS}):
+    pool = PersistentPool(2)
+    workers, _ = pool.ensure()
+    assert workers.map(abs, [-1, -2, -3]) == [1, 2, 3]
+    pool.close()
+print("closed", {_SIGTERM_ROUNDS})
+"""
+
+
+class TestWorkerSignals:
+    """Workers run SIGTERM's default action, whatever the parent set —
+    ``Pool.terminate()`` stops them with SIGTERM — and sit outside the
+    parent's process group, so a group signal reaches only the parent."""
+
+    def test_workers_reset_sigterm_and_leave_the_group(self):
+        import signal
+
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        pool = PersistentPool(2)
+        try:
+            workers, _ = pool.ensure()
+            states = workers.map(_worker_signals, range(4))
+        finally:
+            pool.close()
+            signal.signal(signal.SIGTERM, previous)
+        assert all(default for default, _ in states)
+        if hasattr(os, "getpgrp"):
+            assert os.getpgrp() not in {group for _, group in states}
+
+    @pytest.mark.skipif(os.name == "nt", reason="needs POSIX signals")
+    def test_close_never_hangs_under_a_parent_sigterm_handler(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        try:
+            done = subprocess.run([sys.executable, "-c", _SIGTERM_LOOP],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{_SIGTERM_ROUNDS} pool closes under a SIGTERM "
+                        f"handler did not finish within 120 s")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["closed", str(_SIGTERM_ROUNDS)]

@@ -14,25 +14,42 @@ mocked.  The core guarantees under test:
   store (``cache.full_hit``) without re-mining;
 - failures — malformed requests, unknown sessions, injected storage
   faults — come back as structured JSON error documents with typed
-  names and meaningful HTTP statuses, and the daemon stays up.
+  names and meaningful HTTP statuses, and the daemon stays up;
+- reads are served from documents built and encoded once per mining
+  result, JSON-equal to fresh builds, over kept-alive connections that
+  never hold up a shutdown.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.columnar import numpy_available
 from repro.core.depminer import DepMiner
 from repro.core.relation import Relation, Schema
+from repro.errors import ArmstrongExistenceError, ReproError
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.service import (
     ReproServiceServer,
     ServiceClient,
     ServiceConfig,
     RemoteServiceError,
 )
+from repro.service import protocol
+from repro.service import server as server_module
 
 
 @pytest.fixture
@@ -499,3 +516,485 @@ class TestTelemetry:
             assert validate_manifest(manifest.to_dict()) == []
             names = [span["name"] for span in manifest.spans]
             assert "service.request" in names
+
+
+def paper_relation():
+    """``(attributes, rows)`` of the paper's running example, which has a
+    real-world Armstrong sample."""
+    from repro.datasets import paper_example_relation
+
+    relation = paper_example_relation()
+    return (list(relation.schema.names),
+            [list(row) for row in relation.rows()])
+
+
+PAPER_EXTRA = [[4, 2, 70, "Admission", 12], [5, 6, 91, "Physics", 5]]
+
+
+def built_armstrong(relation, max_union, construction, max_rows=None):
+    """``(construction used, document)`` from the row-wise builders, or
+    None where no real-world sample exists and one is insisted on."""
+    from repro.core.armstrong import (
+        classical_armstrong,
+        real_world_armstrong,
+        real_world_armstrong_exists,
+    )
+
+    classical = ("classical", protocol.relation_document(
+        classical_armstrong(relation.schema, max_union), max_rows))
+    if construction == "classical":
+        return classical
+    if real_world_armstrong_exists(relation, max_union):
+        return ("real-world", protocol.relation_document(
+            real_world_armstrong(relation, max_union), max_rows))
+    return classical if construction == "auto" else None
+
+
+def json_equal(served, built):
+    """*served* equals *built* once both are JSON; a session part is
+    compared without its idle clock, which ticks between the two."""
+    served, built = json.loads(json.dumps(served)), \
+        json.loads(json.dumps(built))
+    for document in (served, built):
+        if "session" in document:
+            document["session"].pop("idle_seconds")
+    return served == built
+
+
+def read_raw(sock):
+    """Everything a connection sends until the server closes it, split
+    into (head, body)."""
+    received = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    return head, body
+
+
+class TestEncodedDocuments:
+    def test_encode_response_matches_json_dumps(self):
+        cover = protocol.EncodedDocument({"fds": [{"lhs": ["a"], "rhs": "b"}],
+                                          "count": 1, "name": "é"})
+        keys = protocol.EncodedDocument({"keys": [["a"]], "count": 1})
+        envelope = {"session": {"id": "s1", "requests": 2}, "cover": cover,
+                    "counters": {}, "protocol": 1}
+        spread = protocol.merged(keys, session={"id": "s1"})
+        spread.setdefault("protocol", 1)
+        for document in (envelope, spread,
+                         protocol.merged(protocol.EncodedDocument({}),
+                                         session={"id": "s1"})):
+            assert protocol.encode_response(document) == \
+                json.dumps(document).encode("utf-8")
+        assert dict(spread) == {"keys": [["a"]], "count": 1,
+                                "session": {"id": "s1"}, "protocol": 1}
+
+    def test_cover_document_shares_one_name_list_per_lhs(self):
+        attributes, rows = paper_relation()
+        relation = Relation.from_rows(Schema(attributes),
+                                      [tuple(row) for row in rows])
+        result = DepMiner(build_armstrong="none").run(relation)
+        document = protocol.cover_document(result)
+        assert document["fds"] == [{"lhs": list(fd.lhs.names),
+                                    "rhs": fd.rhs} for fd in result.fds]
+        lists = {tuple(fd["lhs"]): id(fd["lhs"]) for fd in document["fds"]}
+        assert len(set(lists.values())) == len(
+            {fd.lhs.mask for fd in result.fds})
+
+
+class TestServedDocuments:
+    """Every response is JSON-equal to a document built afresh by the
+    protocol builders, although reads come from per-result memos."""
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_every_endpoint_matches_the_builders(self, service, backend):
+        from repro.core.keys_mining import keys_from_agree_sets
+
+        if backend == "columnar" and not numpy_available():
+            pytest.skip("columnar backend needs NumPy")
+        server, client = service(backend=backend)
+        app = server.app
+        attributes, rows = paper_relation()
+        relation = Relation.from_rows(Schema(attributes),
+                                      [tuple(row) for row in rows])
+
+        registered = client.register("docs", attributes=attributes,
+                                     rows=rows)
+        sid = registered["session"]["id"]
+        session = app.registry.acquire(sid)
+
+        def envelope(**parts):
+            return {"session": session.document(), **parts, "protocol": 1}
+
+        assert json_equal(registered, envelope(
+            cover=protocol.cover_document(session.miner.result),
+            counters=registered["counters"]))
+        for _ in range(2):  # the first read after a build, then a memo hit
+            served = client.cover(sid)
+            assert json_equal(served, envelope(
+                cover=protocol.cover_document(session.miner.result),
+                counters=served["counters"]))
+            result = session.miner.result
+            assert json_equal(client.keys(sid), {
+                **protocol.keys_document(keys_from_agree_sets(
+                    result.agree_sets, result.schema)),
+                "session": session.document(), "protocol": 1})
+            for construction in ("auto", "real-world", "strict",
+                                 "classical"):
+                for max_rows in (None, 3):
+                    used, document = built_armstrong(
+                        relation, result.max_union, construction, max_rows)
+                    served = client.armstrong(sid, construction, max_rows)
+                    assert json_equal(served, {
+                        "construction": used, "armstrong": document,
+                        "session": session.document(), "protocol": 1,
+                    }), (construction, max_rows)
+
+        appended = client.append(sid, PAPER_EXTRA)
+        assert json_equal(appended, envelope(
+            cover=protocol.cover_document(session.miner.result)))
+
+        # error documents: the builders' own, status for status
+        without = client.register(
+            "no-sample", attributes=["A", "B", "C"],
+            rows=[[0, 0, 0], [1, 0, 1], [1, 1, 0]])["session"]["id"]
+        for method, route, payload, query, status in (
+            ("GET", "/sessions/s9999-nope/cover", {}, {}, 404),
+            ("POST", "/health", {}, {}, 405),
+            ("GET", "/no/such/thing", {}, {}, 404),
+            ("POST", "/sessions", {"name": "bad", "attributes": ["a"],
+                                   "rows": "nope"}, {}, 400),
+            ("GET", f"/sessions/{without}/armstrong", {},
+             {"construction": "strict"}, 409),
+        ):
+            with pytest.raises(ReproError) as excinfo:
+                app.handle(method, route, query, payload, Tracer(),
+                           MetricsRegistry())
+            assert protocol.http_status_for(excinfo.value) == status
+            query_string = "".join(f"?{k}={v}" for k, v in query.items())
+            with pytest.raises(RemoteServiceError) as remote:
+                client.request(method, route + query_string,
+                               payload or None)
+            assert remote.value.status == status
+            built = protocol.error_document(excinfo.value)
+            assert remote.value.error_type == built["error"]["type"]
+            assert str(remote.value).endswith(built["error"]["message"])
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_reads_after_an_append_match_fresh_builds(self, service,
+                                                      backend):
+        from repro.core.keys_mining import discover_keys
+
+        if backend == "columnar" and not numpy_available():
+            pytest.skip("columnar backend needs NumPy")
+        _, client = service(backend=backend)
+        attributes, rows = paper_relation()
+        sid = client.register("grow", attributes=attributes,
+                              rows=rows)["session"]["id"]
+        constructions = ("auto", "real-world", "strict", "classical")
+        for construction in constructions:  # fill every memo first
+            try:
+                client.armstrong(sid, construction)
+            except RemoteServiceError:
+                pass
+        client.keys(sid)
+        client.append(sid, PAPER_EXTRA)
+
+        grown = Relation.from_rows(
+            Schema(attributes), [tuple(row) for row in rows + PAPER_EXTRA])
+        cold = DepMiner(build_armstrong="none", backend=backend).run(grown)
+        cover = client.cover(sid)["cover"]
+        assert cover["num_rows"] == len(grown)
+        assert cover["count"] == len(cold.fds)
+        assert cover_set(cover) == {(tuple(fd.lhs.names), fd.rhs)
+                                    for fd in cold.fds}
+        assert client.keys(sid)["keys"] == [
+            list(key.names) for key in discover_keys(grown)]
+        for construction in constructions:
+            want = built_armstrong(grown, cold.max_union, construction)
+            if want is None:
+                with pytest.raises(RemoteServiceError) as excinfo:
+                    client.armstrong(sid, construction)
+                assert excinfo.value.status == 409
+                continue
+            served = client.armstrong(sid, construction)
+            assert (served["construction"], served["armstrong"]) == want
+
+
+class TestReadMemo:
+    """Each read document is built once per mining result."""
+
+    @staticmethod
+    def _app(monkeypatch):
+        from repro.service.server import ServiceApp
+
+        built = []
+        armstrong_relations = DepMiner.armstrong_relations
+        keys_from_agree_sets = server_module.keys_from_agree_sets
+
+        def spy_armstrong(miner, schema, max_union, relation, mode, tracer):
+            built.append(mode)
+            return armstrong_relations(miner, schema, max_union, relation,
+                                       mode, tracer)
+
+        def spy_keys(agree_sets, schema):
+            built.append("keys")
+            return keys_from_agree_sets(agree_sets, schema)
+
+        monkeypatch.setattr(DepMiner, "armstrong_relations", spy_armstrong)
+        monkeypatch.setattr(server_module, "keys_from_agree_sets", spy_keys)
+        app = ServiceApp(ServiceConfig(port=0))
+
+        def call(method, route, payload=None, query=None):
+            document, status = app.handle(method, route, query or {},
+                                          payload or {}, Tracer(),
+                                          MetricsRegistry())
+            assert status in (200, 201)
+            return document
+
+        return app, call, built
+
+    def test_each_read_is_built_once_per_result(self, monkeypatch):
+        app, call, built = self._app(monkeypatch)
+        try:
+            attributes, rows = paper_relation()
+            sid = call("POST", "/sessions",
+                       {"name": "memo", "attributes": attributes,
+                        "rows": rows})["session"]["id"]
+            route = f"/sessions/{sid}"
+
+            def read_everything():
+                for _ in range(3):
+                    call("GET", f"{route}/keys")
+                    for construction in ("auto", "real-world", "strict",
+                                         "classical"):
+                        for query in ({}, {"max_rows": "3"}):
+                            call("GET", f"{route}/armstrong",
+                                 query={"construction": construction,
+                                        **query})
+
+            read_everything()
+            assert sorted(built) == ["classical", "keys", "real-world",
+                                     "strict"]
+            call("POST", f"{route}/append", {"rows": PAPER_EXTRA})
+            assert len(built) == 4  # an append builds none of them
+            read_everything()
+            assert sorted(built) == sorted(2 * ["classical", "keys",
+                                                "real-world", "strict"])
+        finally:
+            app.close()
+
+    def test_a_refused_construction_is_not_remembered(self, monkeypatch):
+        app, call, built = self._app(monkeypatch)
+        try:
+            sid = call("POST", "/sessions",
+                       {"name": "no-sample", "attributes": ["A", "B", "C"],
+                        "rows": [[0, 0, 0], [1, 0, 1], [1, 1, 0]]}
+                       )["session"]["id"]
+            for attempt in range(1, 4):
+                with pytest.raises(ArmstrongExistenceError):
+                    app.handle("GET", f"/sessions/{sid}/armstrong",
+                               {"construction": "strict"}, {}, Tracer(),
+                               MetricsRegistry())
+                assert built == ["strict"] * attempt
+        finally:
+            app.close()
+
+
+class TestKeepAlive:
+    def test_one_client_uses_one_connection(self, service):
+        _, client = service()
+        sid = client.register("kept", attributes=ATTRIBUTES,
+                              rows=ROWS)["session"]["id"]
+        for _ in range(10):
+            client.cover(sid)
+            client.keys(sid)
+            client.armstrong(sid)
+        client.append(sid, [[9, "v", 1, "s"]])
+        with pytest.raises(RemoteServiceError):
+            client.cover("s9999-nope")  # an error keeps the connection
+        assert client.stats()["counters"]["service.connections"] == 1
+
+    def test_each_thread_keeps_its_own_connection(self, service):
+        _, client = service()
+        sid = client.register("kept", attributes=ATTRIBUTES,
+                              rows=ROWS)["session"]["id"]
+        errors = []
+
+        def reader():
+            try:
+                for _ in range(5):
+                    client.cover(sid)
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors[0]
+        assert client.stats()["counters"]["service.connections"] == 4
+
+    def test_close_and_context_manager(self, service):
+        server, client = service()
+        with ServiceClient(client.base_url) as scoped:
+            assert scoped.health()["status"] == "ok"
+        assert scoped.health()["status"] == "ok"  # reopens on demand
+        scoped.close()
+        assert client.stats()["counters"]["service.connections"] == 3
+
+    def test_idle_connection_dropped_by_the_server_is_retried_once(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "KEEPALIVE_IDLE_SECONDS", 0.2)
+        _, client = service()
+        registered = client.register("idle", attributes=ATTRIBUTES,
+                                     rows=ROWS)
+        sid = registered["session"]["id"]
+        time.sleep(0.8)  # past the idle limit: the server closes it
+        batch = [[7, "u", 0, "s"], [8, "u", 1, "s"]]
+        appended = client.append(sid, batch)
+        assert appended["session"]["num_rows"] == len(ROWS) + len(batch)
+        assert appended["session"]["appends"] == 1
+        assert client.stats()["counters"]["service.connections"] == 2
+
+    def test_a_timed_out_request_is_not_retried(self, service,
+                                                monkeypatch):
+        server, client = service()
+        sid = client.register("slow", attributes=ATTRIBUTES,
+                              rows=ROWS)["session"]["id"]
+        appends = []
+        handle = server.app.handle
+
+        def slow_handle(method, route, *args):
+            if route.endswith("/append"):
+                appends.append(route)
+                time.sleep(0.6)
+            return handle(method, route, *args)
+
+        monkeypatch.setattr(server.app, "handle", slow_handle)
+        hasty = ServiceClient(client.base_url, timeout=0.2)
+        hasty.health()  # the append below goes out on a reused connection
+        with pytest.raises(RemoteServiceError) as excinfo:
+            hasty.append(sid, [[7, "u", 0, "s"]])
+        assert excinfo.value.status == 0
+        assert excinfo.value.error_type == "ConnectionError"
+        time.sleep(0.8)  # the server finishes the one append it got
+        assert appends == [f"/sessions/{sid}/append"]
+        assert client.session(sid)["session"]["num_rows"] == len(ROWS) + 1
+
+    def test_an_oversized_body_closes_its_connection(self, service,
+                                                     monkeypatch):
+        _, client = service()
+        sid = client.register("big", attributes=ATTRIBUTES,
+                              rows=ROWS)["session"]["id"]
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.append(sid, [["x" * 100, "y", 0, "z"]])
+        assert excinfo.value.status == 413
+        assert client.health()["status"] == "ok"
+        assert client.stats()["counters"]["service.connections"] == 2
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        pytest.param(b"POST /sessions HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: nope\r\n\r\n", 400,
+                     id="malformed-length"),
+        pytest.param(b"GET /health HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: 5\r\n\r\nhello", 200,
+                     id="body-on-get"),
+    ])
+    def test_an_unread_body_closes_its_connection(self, service,
+                                                  request_bytes, status):
+        server, client = service()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as raw:
+            raw.sendall(request_bytes)
+            head, body = read_raw(raw)  # returns once the server closes
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["protocol"] == 1
+        assert client.health()["status"] == "ok"
+
+    def test_pipelined_requests_are_answered_in_order(self, service):
+        server, _ = service()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as raw:
+            raw.sendall(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n"
+                        b"GET /nope HTTP/1.1\r\nHost: t\r\n"
+                        b"Connection: close\r\n\r\n")
+            start = time.monotonic()
+            head, rest = read_raw(raw)
+        # the second request sat in the handler's read buffer: it is
+        # answered at once, not after the idle limit
+        assert time.monotonic() - start < 2.0
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"HTTP/1.1 404 " in rest
+
+
+def _idle_clients(base_url, count=2):
+    """Clients each holding an open, idle kept-alive connection."""
+    clients = [ServiceClient(base_url) for _ in range(count)]
+    for idle in clients:
+        assert idle.health()["status"] == "ok"
+    return clients
+
+
+class TestShutdownWithOpenConnections:
+    """Handlers parked on idle connections never hold up a stop."""
+
+    def test_shutdown_and_server_close(self, service):
+        server, client = service()
+        idle = _idle_clients(client.base_url)
+        start = time.monotonic()
+        server.shutdown()
+        server.server_close()
+        assert time.monotonic() - start < 2.0
+        for idle_client in idle:  # held open through the stop
+            idle_client.close()
+
+    def test_shutdown_endpoint(self, service):
+        _, client = service()
+        idle = _idle_clients(client.base_url)
+        start = time.monotonic()
+        assert client.shutdown()["status"] == "shutting down"
+        stoppers = [thread for thread in threading.enumerate()
+                    if thread.name == "repro-serve-shutdown"]
+        assert stoppers
+        for thread in stoppers:
+            thread.join(timeout=2.0)
+            assert not thread.is_alive()
+        assert time.monotonic() - start < 2.0
+        for idle_client in idle:  # held open through the stop
+            idle_client.close()
+
+    @pytest.mark.skipif(os.name == "nt", reason="needs POSIX signals")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigterm_to_a_serve_process_group(self, jobs):
+        """SIGTERM to the daemon's process group, as ``timeout`` sends
+        it; with ``--jobs 2`` the group holds the worker pool too."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", str(jobs)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            line = process.stdout.readline()
+            assert line.startswith("serving on "), line
+            idle = _idle_clients(line.split()[-1])
+            os.killpg(process.pid, signal.SIGTERM)
+            assert process.wait(timeout=2.0) == 0
+            for idle_client in idle:  # held open through the stop
+                idle_client.close()
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait()
+            process.stdout.close()
