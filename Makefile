@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test test-parallel bench bench-cache bench-transversal \
-	bench-columnar bench-ingest bench-serve bench-parallel bench-regress \
+	bench-columnar bench-ingest bench-serve bench-regress \
 	cache-smoke trace-smoke transversal-smoke faults-smoke \
 	telemetry-smoke serve-smoke experiments experiments-paper examples \
 	clean
@@ -65,14 +65,6 @@ bench-ingest:
 bench-serve:
 	$(PYTHON) -m pytest benchmarks/bench_serve.py -q
 	$(PYTHON) benchmarks/bench_serve.py BENCH_serve.json
-
-# The shared-memory dispatch guard: asserts shm context dispatch on the
-# persistent pool is >= 1.5x faster than pickled context, with covers
-# bit-identical across serial / persistent / pickled dispatch, then
-# records the timings.
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/bench_parallel_scaling.py -q
-	$(PYTHON) benchmarks/bench_parallel_scaling.py BENCH_parallel.json
 
 # End-to-end kernel smoke: mine the reduction fixture (duplicated
 # columns + a near-duplicate row pair) with --transversal kernel and

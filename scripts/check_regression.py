@@ -22,10 +22,7 @@ relative to the checked-in baseline documents:
   without building the ``Relation``;
 - **serve** (``BENCH_serve.json``) — the discovery daemon's
   warm-session cover query against a cold one-shot process and an
-  in-process cold mine, plus a bit-identical served cover;
-- **parallel** (``BENCH_parallel.json``) — the shared-memory arena's
-  context dispatch against pickled context, and bit-identical covers
-  across serial / persistent-pool / pickled dispatch.
+  in-process cold mine, plus a bit-identical served cover.
 
 Every suite additionally runs an instrumented **probe**: a full
 ``DepMiner`` pipeline under a :class:`~repro.obs.Tracer` and
@@ -79,8 +76,7 @@ from repro.obs import (  # noqa: E402
     Tracer,
 )
 
-SUITES = ("obs", "cache", "transversal", "columnar", "ingest", "serve",
-          "parallel")
+SUITES = ("obs", "cache", "transversal", "columnar", "ingest", "serve")
 BASELINE_FILES = {
     "obs": "BENCH_obs.json",
     "cache": "BENCH_cache.json",
@@ -88,7 +84,6 @@ BASELINE_FILES = {
     "columnar": "BENCH_columnar.json",
     "ingest": "BENCH_ingest.json",
     "serve": "BENCH_serve.json",
-    "parallel": "BENCH_parallel.json",
 }
 
 #: A measured speedup may sag to this fraction of its committed value
@@ -443,25 +438,6 @@ def run_serve(gate: Gate, baseline: Dict[str, Any]) -> Dict[str, Any]:
     return report
 
 
-def run_parallel(gate: Gate, baseline: Dict[str, Any]) -> Dict[str, Any]:
-    from benchmarks import bench_parallel_scaling as bench
-
-    measured = bench.measure()
-    report = bench.report(measured)
-    gate.check(
-        "covers.dispatch_modes_identical", report["covers_identical"],
-        "serial, persistent-pool and pickled-dispatch covers identical",
-    )
-    if check_workload(gate, baseline, report):
-        floors = baseline.get("floors", {})
-        committed = baseline.get("speedup", {})
-        name = "shm_vs_pickle_dispatch"
-        if name in report["speedup"]:  # NumPy-free host: no arena to time
-            check_ratio(gate, name, report["speedup"][name],
-                        committed.get(name, 0.0), floors.get(name, 0.0))
-    return report
-
-
 SUITE_RUNNERS = {
     "obs": run_obs,
     "cache": run_cache,
@@ -469,7 +445,6 @@ SUITE_RUNNERS = {
     "columnar": run_columnar,
     "ingest": run_ingest,
     "serve": run_serve,
-    "parallel": run_parallel,
 }
 
 
@@ -483,7 +458,6 @@ def bench_module(suite: str):
         "columnar": "benchmarks.bench_columnar",
         "ingest": "benchmarks.bench_ingest",
         "serve": "benchmarks.bench_serve",
-        "parallel": "benchmarks.bench_parallel_scaling",
     }[suite])
 
 

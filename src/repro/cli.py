@@ -240,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(1 = serial, 0 = all cores; output is identical at any N)",
     )
     discover.add_argument(
-        "--mp-context", default=None, metavar="METHOD",
-        help="multiprocessing start method for the worker pool (fork or "
-             "spawn; default: the platform's preference)",
-    )
-    discover.add_argument(
         "--armstrong", action="store_true",
         help="also print the real-world Armstrong relation",
     )
@@ -484,12 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default worker processes per mining request (0 = all cores)",
     )
     serve.add_argument(
-        "--mp-context", default=None, metavar="METHOD",
-        help="multiprocessing start method for the daemon's persistent "
-             "worker pool (fork or spawn; default: the platform's "
-             "preference)",
-    )
-    serve.add_argument(
         "--backend", choices=("python", "columnar"), default="python",
         help="default mining backend for new sessions",
     )
@@ -533,7 +522,6 @@ def _run_discover(args: argparse.Namespace, tracer, metrics,
         max_lhs_size=args.max_lhs,
         cache=cache,
         jobs=args.jobs,
-        mp_context=args.mp_context,
         tracer=tracer,
         metrics=metrics,
         progress=progress,
@@ -606,7 +594,6 @@ def _run_discover(args: argparse.Namespace, tracer, metrics,
               "algorithm": args.algorithm, "backend": args.backend,
               "transversal": args.transversal,
               "jobs": args.jobs,
-              "mp_context": args.mp_context,
               "cache_dir": args.cache_dir,
               "appended": list(args.append_paths or ())},
         sampler=sampler, relation_info=relation_info,
@@ -875,7 +862,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         session_ttl=args.session_ttl,
         jobs=args.jobs,
         backend=args.backend,
-        mp_context=args.mp_context,
         telemetry_dir=args.telemetry_dir,
         fault_plan=args.fault_plan,
     )

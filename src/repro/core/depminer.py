@@ -63,7 +63,6 @@ from repro.parallel.executor import (
     ShardedExecutor,
     resolve_jobs,
     resolve_shard_timeout,
-    resolve_start_method,
 )
 from repro.partitions.database import StrippedPartitionDatabase
 
@@ -198,19 +197,13 @@ class DepMiner:
         ``CMAX_SET`` + transversal tail fans out per RHS attribute
         (fused into the ``lhs`` phase span; the ``cmax`` span then
         covers only parent-side shard preparation).  Pooled maps run
-        on one lazily-built, reusable worker pool per miner — reused
-        across ``run()`` calls, which is what makes repeated
-        daemon-style requests cheap — with the heavy shared context
-        published zero-copy through the shared-memory arena whenever
-        :mod:`multiprocessing.shared_memory` is usable.
+        on one lazily-built, reusable pool of forked workers per
+        miner — reused across ``run()`` calls, which is what makes
+        repeated daemon-style requests cheap.  Where the platform
+        cannot fork, ``jobs > 1`` raises :class:`ReproError`.
     shard_timeout:
         Optional per-shard timeout in seconds for ``jobs > 1``
         (:class:`repro.parallel.ShardTimeoutError` aborts the run).
-    mp_context:
-        Multiprocessing start method for the worker pool: ``"fork"``,
-        ``"spawn"`` (or any method the platform offers).  ``None``
-        (default) prefers fork where available.  An unavailable method
-        raises :class:`repro.parallel.MpContextError` immediately.
     pool:
         An externally-owned :class:`repro.parallel.PersistentPool` to
         run on (the service shares one across sessions).  Worker count
@@ -262,7 +255,6 @@ class DepMiner:
                  cache=None,
                  jobs: int = 1,
                  shard_timeout: Optional[float] = None,
-                 mp_context: Optional[str] = None,
                  pool: Optional[PersistentPool] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -313,9 +305,6 @@ class DepMiner:
         self.cache = cache
         self.jobs = resolve_jobs(jobs)
         self.shard_timeout = resolve_shard_timeout(shard_timeout)
-        # Validate eagerly: a bad --mp-context should fail at
-        # construction, not in the middle of a mining run.
-        self.mp_context = resolve_start_method(mp_context)
         if pool is not None and pool.jobs != self.jobs:
             raise ReproError(
                 f"external pool has {pool.jobs} worker(s) but the miner "
@@ -349,11 +338,11 @@ class DepMiner:
         if self.jobs <= 1:
             return None
         if self._pool is None or self._pool.closed:
-            self._pool = PersistentPool(self.jobs, mp_context=self.mp_context)
+            self._pool = PersistentPool(self.jobs)
             self._owns_pool = True
         return ShardedExecutor(
             jobs=self.jobs, shard_timeout=self.shard_timeout,
-            mp_context=self.mp_context, pool=self._pool,
+            pool=self._pool,
             tracer=tracer, metrics=metrics, progress=self.progress,
         )
 

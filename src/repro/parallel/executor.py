@@ -8,16 +8,15 @@ primitive both integrations share:
 
 - **work descriptors** — a :class:`Shard` is ``(kind, index, payload)``,
   picklable by construction; the *kind* names a registered worker
-  function (see :func:`register_shard_kind`) and the heavy read-only
-  context is published once per map through the shared-memory arena,
-  not shipped once per shard;
+  function (see :func:`register_shard_kind`), and each task carries the
+  map's read-only context pickled next to its shard;
 - **serial fallback** — ``jobs=1`` (the default everywhere) runs the
   very same shard functions inline, in order, with no pool, no pickling
   and no behavioural difference: the parallel layer is a pure execution
   strategy, never a second implementation of the algorithms;
-- **bounded result queue** — at most ``max_pending`` shards are in
-  flight; submission is windowed so a thousand-shard run never
-  materialises a thousand result buffers;
+- **bounded result queue** — at most ``2 × jobs`` shards are in flight;
+  submission is windowed so a thousand-shard run never materialises a
+  thousand result buffers;
 - **per-shard timeout + cancellation** — each shard's result is awaited
   with a deadline (:class:`ShardTimeoutError` terminates the pool), and
   a progress callback returning ``False`` aborts the whole map through
@@ -32,28 +31,23 @@ primitive both integrations share:
   (:meth:`~repro.obs.MetricsRegistry.merge_histogram`) into its own
   registry and emits one progress step per completed shard;
 - **persistent worker pool** — pooled maps run on a lazily-created
-  :class:`PersistentPool` that is *reused* across ``map()`` calls (and,
-  when the pool is injected by ``DepMiner`` or the service, across
-  whole runs and requests), so daemon-style traffic stops paying pool
-  spin-up per call (counter ``parallel.pool_reuse``, span
-  ``parallel.pool_build`` on builds/rebuilds).
-- **zero-copy shared context** — every pooled map publishes its
-  heavy read-only context through a
-  :class:`~repro.parallel.shm.SharedArrayArena` (counter
-  ``parallel.shm_bytes``, span ``parallel.arena``): NumPy arrays map
-  into workers zero-copy, large Python structures pickle once into a
-  shared blob, and per-task messages stay tiny.  Workers cache the
-  decoded context per map *generation*, and everything degrades to
-  plain pickling when shared memory or NumPy is unavailable.
+  :class:`PersistentPool` of *forked* workers that is *reused* across
+  ``map()`` calls (and, when the pool is injected by ``DepMiner`` or the
+  service, across whole runs and requests), so daemon-style traffic
+  stops paying pool spin-up per call (counter ``parallel.pool_reuse``,
+  span ``parallel.pool_build`` on builds/rebuilds).  Where the platform
+  cannot fork, ``jobs > 1`` is refused at construction
+  (:func:`resolve_jobs`);
 - **retry, poisoning, degradation** — a failed shard attempt is retried
   with exponential backoff and keyed jitter
-  (:class:`~repro.reliability.RetryPolicy`, counter ``parallel.retry``)
-  unless the failure is a typed library error; a shard that exhausts
-  its retries, a pool whose failed attempts pile past
-  ``poison_threshold`` (counter ``parallel.poisoned``), or a pool whose
-  IPC machinery dies, all **degrade to serial execution**: the pool is
-  terminated, the not-yet-completed shards run inline in the parent,
-  and the executor stays serial for the rest of its life (counter
+  (:data:`~repro.reliability.DEFAULT_RETRY_POLICY`, counter
+  ``parallel.retry``) unless the failure is a typed library error; a
+  shard that exhausts its retries, a pool whose failed attempts reach
+  :data:`POISON_THRESHOLD` (counter ``parallel.poisoned``), a pool whose
+  IPC machinery dies, or a worker that exits mid-map (the OOM killer,
+  say), all **degrade to serial execution**: the pool is terminated,
+  the not-yet-completed shards run inline in the parent, and the
+  executor stays serial for the rest of its life (counter
   ``parallel.degraded``, span ``reliability.degraded``).  Degradation
   re-runs only shards without results, so merged work counters are
   never double-counted.  Injected faults
@@ -69,6 +63,7 @@ identical to ``jobs=1``.  See ``docs/parallel.md``.
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
 import signal
 import threading
@@ -76,7 +71,7 @@ import time
 import traceback
 import uuid
 import weakref
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -89,7 +84,6 @@ from repro.obs import (
     emit_progress,
     get_logger,
 )
-from repro.parallel.shm import SharedArrayArena, decode_shared, shm_available
 from repro.reliability.faults import (
     FaultPlan,
     activate_plan,
@@ -97,10 +91,10 @@ from repro.reliability.faults import (
     deactivate_plan,
     fault_point,
 )
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.retry import DEFAULT_RETRY_POLICY
 
 __all__ = [
-    "MpContextError",
+    "POISON_THRESHOLD",
     "PersistentPool",
     "Shard",
     "ShardOutcome",
@@ -110,10 +104,20 @@ __all__ = [
     "register_shard_kind",
     "resolve_jobs",
     "resolve_shard_timeout",
-    "resolve_start_method",
 ]
 
 logger = get_logger(__name__)
+
+#: Failed shard attempts across one pooled map after which the pool is
+#: declared poisoned (a sick worker keeps eating shards) and the map
+#: degrades to serial at once.
+POISON_THRESHOLD = 8
+
+#: Seconds a pooled map waits on one result before it checks that no
+#: worker has died: ``multiprocessing.Pool`` replaces a killed worker
+#: but never completes the task it held.  A ready result returns at
+#: once, so a healthy map never waits a slice out.
+WAIT_SLICE = 0.1
 
 
 class ShardError(ReproError):
@@ -122,31 +126,6 @@ class ShardError(ReproError):
 
 class ShardTimeoutError(ShardError):
     """A shard exceeded the per-shard timeout; the pool was terminated."""
-
-
-class MpContextError(ReproError):
-    """The requested multiprocessing start method is unavailable here."""
-
-
-def resolve_start_method(method: Optional[str]) -> Optional[str]:
-    """Validate an ``mp_context`` name against this platform.
-
-    ``None`` (auto: prefer ``fork``, fall back to ``spawn``) passes
-    through; anything else must be one of
-    :func:`multiprocessing.get_all_start_methods` or a typed
-    :class:`MpContextError` is raised.
-    """
-    if method is None:
-        return None
-    import multiprocessing
-
-    available = multiprocessing.get_all_start_methods()
-    if method not in available:
-        raise MpContextError(
-            f"multiprocessing start method {method!r} is not available "
-            f"on this platform (available: {', '.join(available)})"
-        )
-    return method
 
 
 @dataclass(frozen=True)
@@ -184,9 +163,9 @@ SHARD_KINDS: Dict[str, Callable[[Any, Any, MetricsRegistry], Any]] = {}
 def register_shard_kind(name: str):
     """Register a worker function under *name* (module-level, picklable).
 
-    The function receives ``(shared, payload, metrics)``: the read-only
-    context decoded once per worker and map, the shard's own payload, and a
-    shard-local :class:`~repro.obs.MetricsRegistry` — its counters and
+    The function receives ``(shared, payload, metrics)``: the map's
+    read-only context (pickled with each task), the shard's own payload,
+    and a shard-local :class:`~repro.obs.MetricsRegistry` — its counters and
     histogram summaries travel back through the result queue and the
     parent merges them, which is how worker-side work accounting flows
     into the run's metrics.  (Gauges do not merge meaningfully across
@@ -201,12 +180,24 @@ def register_shard_kind(name: str):
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalise a ``--jobs`` value: ``None``/``0`` = all cores."""
+    """Normalise a ``--jobs`` value: ``None``/``0`` = all cores.
+
+    Pool workers are forked, so ``jobs > 1`` raises :class:`ReproError`
+    where the platform cannot fork: every entry point that takes
+    ``jobs`` (``DepMiner``, :class:`ShardedExecutor`,
+    :class:`PersistentPool`, ``repro serve``) checks it here, at
+    construction, instead of running serially behind the caller's back.
+    """
     if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
+        jobs = os.cpu_count() or 1
+    elif jobs < 0:
         raise ReproError(f"jobs must be a positive integer, 0 or None; "
                          f"got {jobs}")
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ReproError(
+            f"jobs={jobs} needs a forked worker pool, and this platform "
+            f"cannot fork; use jobs=1"
+        )
     return jobs
 
 
@@ -217,47 +208,29 @@ def resolve_shard_timeout(timeout: Optional[float]) -> Optional[float]:
     return timeout
 
 
-# -- worker side (module-level so 'spawn' contexts can pickle them) ----------
+# -- worker side (module-level so tasks pickle them by reference) -----------
 
-#: Persistent-pool workers have no per-map initializer, so each task
-#: carries a tiny context descriptor instead: a *generation* id (one
-#: per ``map()``), the arena-encoded shared context, and the fault
-#: plan.  Workers decode each generation once and cache the result —
-#: the cache holds a few generations so concurrent service maps do not
-#: thrash each other's attachments.
-_WORKER_CONTEXTS: "OrderedDict[str, Any]" = OrderedDict()
-_WORKER_CONTEXT_LIMIT = 4
+#: The map *generation* whose fault plan this worker has active.
 _WORKER_PLAN_GENERATION: Optional[str] = None
 
 
-def _worker_shared_for(ctx: Dict[str, Any]) -> Any:
-    """Resolve a task's shared context in a (single-threaded) worker.
+def _switch_fault_plan(ctx: Dict[str, Any]) -> None:
+    """Activate the plan of the task's map on its first task here.
 
-    First sight of a generation decodes the arena handles (attaching
-    shared-memory segments zero-copy) and switches the process's fault
-    plan to the generation's — the parent's active plan travels as a
-    plain dict, so each map starts with fresh per-site call counters.
-    Later tasks of the same generation hit the cache.
+    Persistent-pool workers outlive maps, so each task carries its
+    map's *generation* id (one per ``map()``) and the parent's active
+    fault plan as a plain dict: the first task of a new generation
+    switches the process's plan, so each map starts with fresh
+    per-site call counters.
     """
     global _WORKER_PLAN_GENERATION
-    generation = ctx["generation"]
-    entry = _WORKER_CONTEXTS.get(generation)
-    if entry is None:
-        entry = decode_shared(ctx["shared"])
-        _WORKER_CONTEXTS[generation] = entry
-        while len(_WORKER_CONTEXTS) > _WORKER_CONTEXT_LIMIT:
-            _, evicted = _WORKER_CONTEXTS.popitem(last=False)
-            evicted.close()
-    else:
-        _WORKER_CONTEXTS.move_to_end(generation)
-    if _WORKER_PLAN_GENERATION != generation:
-        plan = ctx.get("fault_plan")
+    if _WORKER_PLAN_GENERATION != ctx["generation"]:
+        plan = ctx["fault_plan"]
         if plan is not None:
             activate_plan(FaultPlan.from_dict(plan))
         else:
             deactivate_plan()
-        _WORKER_PLAN_GENERATION = generation
-    return entry.shared
+        _WORKER_PLAN_GENERATION = ctx["generation"]
 
 
 def _reliability_counters(local: MetricsRegistry) -> Dict[str, float]:
@@ -309,35 +282,16 @@ def _attempt_shard(shared: Any, shard: Shard, pool: bool) -> ShardOutcome:
 
 
 def _run_shard_ctx(ctx: Dict[str, Any], shard: Shard) -> ShardOutcome:
-    """Persistent-pool task entry: resolve the context, run the shard.
-
-    Context resolution failures (a segment that vanished, a corrupt
-    blob) report through the usual :class:`ShardOutcome` error channel
-    as retryable failures, so the parent's retry/degrade machinery —
-    not a raw exception through ``AsyncResult.get`` — handles them.
-    """
-    try:
-        shared = _worker_shared_for(ctx)
-    except Exception:
-        return ShardOutcome(
-            index=shard.index, error=traceback.format_exc(),
-            retryable=True,
-        )
-    return _attempt_shard(shared, shard, pool=True)
+    """Persistent-pool task entry: switch the fault plan, run the shard."""
+    _switch_fault_plan(ctx)
+    return _attempt_shard(ctx["shared"], shard, pool=True)
 
 
 def _shard_function(kind: str):
     try:
         return SHARD_KINDS[kind]
     except KeyError:
-        # A 'spawn' worker imports this module alone; the built-in kinds
-        # live in repro.parallel.shards — import them once and retry.
-        import repro.parallel.shards  # noqa: F401  (registers kinds)
-
-        try:
-            return SHARD_KINDS[kind]
-        except KeyError:
-            raise ReproError(f"unknown shard kind {kind!r}") from None
+        raise ReproError(f"unknown shard kind {kind!r}") from None
 
 
 # -- the persistent pool -----------------------------------------------------
@@ -392,14 +346,14 @@ def _shutdown_pool(pool) -> None:
 
 
 class PersistentPool:
-    """A lazily-built, health-checked, reusable ``multiprocessing.Pool``.
+    """A lazily-built, health-checked, reusable pool of forked workers.
 
     The pool is created on first :meth:`ensure` and then *reused* by
     every subsequent pooled map — across ``ShardedExecutor.map()``
     calls, across ``DepMiner.run()`` invocations (the miner owns one
     pool per instance), and across service requests (``repro serve``
-    owns one pool per daemon).  A pool that poisons, times out or loses
-    its IPC machinery is terminated and flagged broken
+    owns one pool per daemon).  A pool that poisons, times out, loses
+    its IPC machinery or a worker is terminated and flagged broken
     (:meth:`mark_broken`); the *next* ``ensure()`` transparently
     rebuilds it, so one sick request never strands the daemon in
     degraded mode.
@@ -411,10 +365,8 @@ class PersistentPool:
     (which also fires at interpreter exit), and terminate-on-rebuild.
     """
 
-    def __init__(self, jobs: Optional[int] = None,
-                 mp_context: Optional[str] = None):
+    def __init__(self, jobs: Optional[int] = None):
         self.jobs = resolve_jobs(jobs if jobs is not None else 1)
-        self.mp_context = resolve_start_method(mp_context)
         self._lock = threading.Lock()
         self._pool = None
         self._finalizer = None
@@ -423,15 +375,6 @@ class PersistentPool:
         self.builds = 0
         self.reuses = 0
         self.maps = 0
-
-    def _context(self):
-        import multiprocessing
-
-        method = self.mp_context
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else "spawn"
-        return multiprocessing.get_context(method)
 
     def ensure(self):
         """Return ``(pool, reused)`` — building or rebuilding if needed."""
@@ -442,19 +385,8 @@ class PersistentPool:
                 self.reuses += 1
                 return self._pool, True
             self._terminate_locked()
-            try:
-                # Start the resource tracker *before* forking workers so
-                # they inherit it: a worker whose first tracker contact
-                # is a shared-memory attach would otherwise spawn its
-                # own tracker, which then "cleans up" (and warns about)
-                # segments the parent owns and already unlinked.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:  # noqa: BLE001 - tracker is best-effort
-                pass
             with _sigterm_blocked():
-                self._pool = self._context().Pool(
+                self._pool = multiprocessing.get_context("fork").Pool(
                     processes=self.jobs, initializer=_reset_worker_signals)
             self._finalizer = weakref.finalize(
                 self, _shutdown_pool, self._pool
@@ -497,7 +429,6 @@ class PersistentPool:
         """The pool-lifecycle numbers surfaced on ``/stats``."""
         return {
             "workers": self.jobs,
-            "mp_context": self.mp_context or "auto",
             "live": self.live,
             "builds": self.builds,
             "reuses": self.reuses,
@@ -525,65 +456,40 @@ class ShardedExecutor:
         cores.
     shard_timeout:
         Seconds to wait for each shard's result before terminating the
-        pool with :class:`ShardTimeoutError`.  ``None`` waits forever.
+        pool with :class:`ShardTimeoutError`.  ``None`` waits as long
+        as the pool's workers live.
         (Shards run concurrently, so this bounds the *straggler* wait,
         not the sum.)
-    mp_context:
-        ``multiprocessing`` start method; default prefers ``"fork"``
-        (cheap copy-on-write sharing of the read-only context) and
-        falls back to ``"spawn"`` where fork is unavailable.  An
-        unavailable explicit method raises :class:`MpContextError`.
     pool:
         An externally-owned :class:`PersistentPool` to run pooled maps
         on (``DepMiner`` and the service share one across runs and
         requests).  Default ``None``: the executor lazily builds its
         own on first pooled map and reuses it across its ``map()``
-        calls.  Worker counts must match ``jobs``.  Every pooled map
-        publishes its large arrays/blobs through the shared-memory
-        arena when :mod:`multiprocessing.shared_memory` is usable and
-        ships them inline otherwise; results are identical either way.
-    max_pending:
-        Bound on in-flight shards (the result-queue budget); default
-        ``2 × jobs``.
-    retries / retry_backoff:
-        Re-attempts per shard after a retryable failure (typed
-        :class:`~repro.errors.ReproError` failures are never retried)
-        and the backoff base in seconds — exponential with keyed jitter
-        per :class:`~repro.reliability.RetryPolicy`.  ``retries=0``
-        disables retry.
-    poison_threshold:
-        Total failed attempts across one ``map`` after which the pool
-        is declared poisoned (a sick worker keeps eating shards) and
-        execution degrades to serial immediately.
-    degrade:
-        Whether a pool that keeps failing falls back to running the
-        remaining shards inline (``True``, the default) or raises
-        :class:`ShardError` like the pre-reliability executor.  Once an
-        executor degrades it stays serial for its remaining ``map``
-        calls.
+        calls.  Worker counts must match ``jobs``.
     tracer / metrics / progress:
         The usual observability hooks (:mod:`repro.obs`).  Each
         completed shard is re-recorded as a synthetic ``parallel.shard``
         span, its counters and histograms are merged, and one progress
         step is emitted per completion (so an aborting callback cancels
         the map).
+
+    At most ``2 × jobs`` shards are in flight.  A retryable failure is
+    re-attempted under :data:`~repro.reliability.DEFAULT_RETRY_POLICY`
+    (typed :class:`~repro.errors.ReproError` failures never are); a
+    pool that keeps failing — :data:`POISON_THRESHOLD` failed attempts
+    in one map, a shard out of retries, dead IPC or a dead worker —
+    hands the remaining shards to the inline path, and the executor
+    stays serial for its remaining ``map`` calls.
     """
 
     def __init__(self, jobs: int = 1,
                  shard_timeout: Optional[float] = None,
-                 mp_context: Optional[str] = None,
-                 max_pending: Optional[int] = None,
-                 retries: int = 2,
-                 retry_backoff: float = 0.05,
-                 poison_threshold: int = 8,
-                 degrade: bool = True,
                  pool: Optional[PersistentPool] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  progress: Optional[ProgressCallback] = None):
         self.jobs = resolve_jobs(jobs)
         self.shard_timeout = resolve_shard_timeout(shard_timeout)
-        self.mp_context = resolve_start_method(mp_context)
         if pool is not None and pool.jobs != self.jobs:
             raise ReproError(
                 f"external pool has {pool.jobs} worker(s) but the "
@@ -591,14 +497,6 @@ class ShardedExecutor:
             )
         self._pool = pool
         self._owns_pool = False
-        if max_pending is not None and max_pending < 1:
-            raise ReproError("max_pending must be a positive integer or None")
-        self.max_pending = max_pending
-        self.retry_policy = RetryPolicy(retries=retries, base=retry_backoff)
-        if poison_threshold < 1:
-            raise ReproError("poison_threshold must be a positive integer")
-        self.poison_threshold = poison_threshold
-        self.degrade = degrade
         self.tracer = tracer
         self.metrics = metrics
         self.progress = progress
@@ -619,20 +517,9 @@ class ShardedExecutor:
         pooled map builds the lazily-owned one)."""
         return self._pool
 
-    @property
-    def shm_active(self) -> bool:
-        """Would a pooled map here publish context through the arena?
-
-        Orchestrators use this to decide input-dependent encodings
-        (e.g. packing agree masks into a uint64 matrix) before calling
-        :meth:`map`.
-        """
-        return not self.serial and not self._degraded and shm_available()
-
     def _persistent_pool(self) -> PersistentPool:
         if self._pool is None or self._pool.closed:
-            self._pool = PersistentPool(self.jobs,
-                                        mp_context=self.mp_context)
+            self._pool = PersistentPool(self.jobs)
             self._owns_pool = True
         return self._pool
 
@@ -674,7 +561,8 @@ class ShardedExecutor:
         unwrapped, preserving the serial path's historical contract.
         """
         function = _shard_function(shard.kind)
-        for attempt in range(1, self.retry_policy.attempts + 1):
+        attempts = DEFAULT_RETRY_POLICY.attempts
+        for attempt in range(1, attempts + 1):
             local = MetricsRegistry()
             start = time.perf_counter()
             try:
@@ -688,8 +576,7 @@ class ShardedExecutor:
                 value = function(shared, shard.payload, local)
             except Exception as exc:
                 self._merge_counters(_reliability_counters(local))
-                if (isinstance(exc, ReproError)
-                        or attempt >= self.retry_policy.attempts):
+                if isinstance(exc, ReproError) or attempt >= attempts:
                     raise
                 self._note_retry(shard, attempt,
                                  f"{type(exc).__name__}: {exc}")
@@ -716,17 +603,50 @@ class ShardedExecutor:
 
     # -- pool path ----------------------------------------------------------
 
+    def _await(self, handle, shard: Shard, workers) -> ShardOutcome:
+        """Wait for one shard's outcome, in slices of :data:`WAIT_SLICE`.
+
+        Between slices, any of *workers* (the pool's processes when the
+        map started) that has exited raises :class:`ChildProcessError`: the
+        pool replaced it, but the task it held never completes.  The
+        ``shard_timeout`` deadline runs from the start of this wait.
+        """
+        deadline = (None if self.shard_timeout is None
+                    else time.monotonic() + self.shard_timeout)
+        while True:
+            wait = WAIT_SLICE
+            if deadline is not None:
+                wait = min(wait, deadline - time.monotonic())
+            handle.wait(max(wait, 0.0))
+            if handle.ready():
+                return handle.get()
+            if deadline is not None and time.monotonic() >= deadline:
+                raise ShardTimeoutError(
+                    f"shard {shard.index} ({shard.kind}) exceeded the "
+                    f"{self.shard_timeout:g}s per-shard timeout"
+                )
+            for worker in workers:
+                if worker.exitcode is not None:
+                    raise ChildProcessError(
+                        f"worker {worker.pid} exited with code "
+                        f"{worker.exitcode} while shard {shard.index} "
+                        f"({shard.kind}) was pending"
+                    )
+
     def _run_pooled(self, pool, ctx: Dict[str, Any], shards: List[Shard],
                     stage: str):
         """The windowed submit/collect loop of one pooled map.
 
-        Every task carries the map's per-generation context descriptor
-        *ctx* next to its shard.  Returns ``(results, completed, done,
-        degrade_reason)``; failures that cannot degrade raise.
+        Every task carries the map's context *ctx* next to its shard.
+        Returns ``(results, completed, done, degrade_reason)``; a
+        failure that cannot degrade raises.
         """
-        import multiprocessing
-
-        window = self.max_pending or 2 * self.jobs
+        # Pool._pool is multiprocessing's list of worker processes; a
+        # snapshot taken before any submission names every worker that
+        # can hold one of this map's tasks.  One that died idle is left
+        # out: it holds no task, and the pool replaces it.
+        workers = tuple(w for w in pool._pool if w.exitcode is None)
+        window = 2 * self.jobs
         total = len(shards)
         results: List[Any] = [None] * total
         completed = [False] * total
@@ -748,53 +668,36 @@ class ShardedExecutor:
         while pending:
             shard, handle = pending.popleft()
             try:
-                outcome = handle.get(self.shard_timeout)
-            except multiprocessing.TimeoutError:
-                raise ShardTimeoutError(
-                    f"shard {shard.index} ({shard.kind}) exceeded the "
-                    f"{self.shard_timeout:g}s per-shard timeout"
-                ) from None
+                outcome = self._await(handle, shard, workers)
             except (OSError, EOFError) as error:
-                # The pool's IPC machinery died (worker crash, broken
-                # pipe): the pool is unusable, degrade or raise.
-                if not self.degrade:
-                    raise ShardError(
-                        f"worker pool failed while running shard "
-                        f"{shard.index} ({shard.kind}): {error}"
-                    ) from error
+                # The pool's IPC machinery died (broken pipe) or a
+                # worker did (OOM killer, ChildProcessError from
+                # _await): the pool is unusable.
                 degrade_reason = f"worker pool failure: {error}"
                 break
             if outcome.error is not None:
                 failures += 1
                 self._absorb(outcome, shard, done, total, stage,
                              progress_step=False)
-                if failures >= self.poison_threshold:
+                if failures >= POISON_THRESHOLD:
                     self._count("parallel.poisoned")
                     logger.warning(
                         "worker pool poisoned: %d failed attempts in "
-                        "one map (threshold %d)", failures,
-                        self.poison_threshold,
+                        "one map (threshold %d)", failures, POISON_THRESHOLD,
                     )
-                    if not self.degrade:
-                        raise ShardError(
-                            f"worker pool poisoned after {failures} "
-                            f"failed attempts; last failure in shard "
-                            f"{shard.index} ({shard.kind}):\n"
-                            f"{outcome.error}"
-                        )
                     degrade_reason = (
                         f"pool poisoned ({failures} failed attempts)"
                     )
                     break
                 if (outcome.retryable
                         and attempts[shard.index]
-                        <= self.retry_policy.retries):
+                        <= DEFAULT_RETRY_POLICY.retries):
                     self._note_retry(shard, attempts[shard.index],
                                      outcome.error.strip()
                                      .splitlines()[-1])
                     submit(shard)
                     continue
-                if outcome.retryable and self.degrade:
+                if outcome.retryable:
                     degrade_reason = (
                         f"shard {shard.index} ({shard.kind}) failed "
                         f"{attempts[shard.index]} attempt(s)"
@@ -815,18 +718,14 @@ class ShardedExecutor:
 
     def _map_pool(self, shards: List[Shard], shared: Any,
                   stage: str) -> List[Any]:
-        """Run *shards* on the persistent pool, context via the arena."""
+        """Run *shards* on the persistent pool."""
         ppool = self._persistent_pool()
         build_start = time.perf_counter()
         try:
             pool, reused = ppool.ensure()
         except ReproError:
             raise
-        except Exception as error:  # noqa: BLE001 - fork/spawn failure
-            if not self.degrade:
-                raise ShardError(
-                    f"could not start the worker pool: {error}"
-                ) from error
+        except Exception as error:  # noqa: BLE001 - fork failure
             return self._degrade_to_serial(
                 shards, shared, stage, [None] * len(shards),
                 [False] * len(shards), 0,
@@ -837,46 +736,32 @@ class ShardedExecutor:
         elif self.tracer is not None:
             self.tracer.record(
                 "parallel.pool_build", time.perf_counter() - build_start,
-                workers=ppool.jobs, mp_context=ppool.mp_context or "auto",
-                build=ppool.builds,
+                workers=ppool.jobs, build=ppool.builds,
             )
         ppool.maps += 1
         plan = current_plan()
-        arena = SharedArrayArena(metrics=self.metrics)
+        ctx = {
+            "generation": uuid.uuid4().hex,
+            "shared": shared,
+            "fault_plan": plan.to_dict() if plan is not None else None,
+        }
         try:
-            encode_start = time.perf_counter()
-            encoded = arena.encode(shared)
-            if arena.segments and self.tracer is not None:
-                self.tracer.record(
-                    "parallel.arena",
-                    time.perf_counter() - encode_start,
-                    segments=arena.segments,
-                    shm_bytes=arena.bytes_published,
-                )
-            ctx = {
-                "generation": uuid.uuid4().hex,
-                "shared": encoded,
-                "fault_plan": plan.to_dict() if plan is not None else None,
-            }
-            try:
-                results, completed, done, degrade_reason = self._run_pooled(
-                    pool, ctx, shards, stage,
-                )
-            except BaseException:
-                # Timeout, non-degradable failure or cancellation: the
-                # pool may hold stuck tasks — terminate it and let the
-                # next map (or request) rebuild a fresh one.
-                ppool.mark_broken()
-                raise
-            if degrade_reason is not None:
-                ppool.mark_broken()
-                return self._degrade_to_serial(
-                    shards, shared, stage, results, completed, done,
-                    degrade_reason,
-                )
-            return results
-        finally:
-            arena.close()
+            results, completed, done, degrade_reason = self._run_pooled(
+                pool, ctx, shards, stage,
+            )
+        except BaseException:
+            # Timeout, non-degradable failure or cancellation: the pool
+            # may hold stuck tasks — terminate it and let the next map
+            # (or request) rebuild a fresh one.
+            ppool.mark_broken()
+            raise
+        if degrade_reason is not None:
+            ppool.mark_broken()
+            return self._degrade_to_serial(
+                shards, shared, stage, results, completed, done,
+                degrade_reason,
+            )
+        return results
 
     def _degrade_to_serial(self, shards: List[Shard], shared: Any,
                            stage: str, results: List[Any],
@@ -951,7 +836,7 @@ class ShardedExecutor:
 
     def _note_retry(self, shard: Shard, attempt: int, cause: str) -> None:
         """Count, trace and back off before re-attempt *attempt*."""
-        backoff = self.retry_policy.backoff(attempt, token=shard.index)
+        backoff = DEFAULT_RETRY_POLICY.backoff(attempt, token=shard.index)
         self._count("parallel.retry")
         if self.tracer is not None:
             self.tracer.record(

@@ -45,7 +45,6 @@ from repro.hypergraph.transversals import (
     resolve_transversal,
 )
 from repro.obs import get_logger
-from repro.parallel import shm
 from repro.parallel.executor import ShardedExecutor, register_shard_kind
 from repro.partitions.database import StrippedPartitionDatabase
 
@@ -64,12 +63,8 @@ CHUNKS_PER_WORKER = 4
 #: costs more than resolving it).
 MIN_CHUNK_COUPLES = 256
 
-#: Only pack agree masks into a shared uint64 matrix above this count;
-#: smaller lists pickle faster than they pack.
-PACK_MIN_MASKS = 256
 
-
-# -- worker functions (run in the pool; shared context via initializer) -----
+# -- worker functions (run in the pool; shared context rides each task) -----
 
 @register_shard_kind("agree.couples")
 def _agree_couples_shard(shared, payload, metrics) -> Set[int]:
@@ -95,17 +90,7 @@ def _lhs_attribute_shard(shared, payload, metrics):
     run.
     """
     attribute = payload
-    agree: Optional[List[int]] = shared.get("agree")
-    if agree is None:
-        # The parent shipped the agree masks as a packed uint64 matrix
-        # through the shared-memory arena; unpack once per worker per
-        # map generation and cache the list back into the (per-process)
-        # decoded context so sibling shards reuse it.
-        from repro.parallel.shm import unpack_masks
-
-        agree = unpack_masks(shared["agree_packed"])
-        shared["agree"] = agree
-    max_masks = maximal_sets_for_attribute(agree, attribute)
+    max_masks = maximal_sets_for_attribute(shared["agree"], attribute)
     cmax = sorted(shared["universe"] & ~mask for mask in max_masks)
     lhs = minimal_transversals(
         cmax, shared["width"], shared["method"],
@@ -183,24 +168,13 @@ def parallel_cmax_lhs(agree, schema: Schema,
     phases, reassembled in schema order regardless of which worker
     finished first.
     """
-    agree_sorted = sorted(agree)
     shared = {
+        "agree": sorted(agree),
         "width": len(schema),
         "universe": schema.universe_mask,
         "method": resolve_transversal(method, max_size),
         "max_size": max_size,
     }
-    if (len(agree_sorted) >= PACK_MIN_MASKS
-            and getattr(executor, "shm_active", False)
-            and shm.numpy_available()):
-        # Zero-copy variant: the agree bitsets travel as one packed
-        # uint64 matrix through the arena instead of a pickled list of
-        # arbitrary-precision ints.  Workers unpack lazily (once per
-        # map generation) — unpack(pack(x)) is exact at any width, so
-        # the search sees the very same masks.
-        shared["agree_packed"] = shm.pack_masks(agree_sorted, len(schema))
-    else:
-        shared["agree"] = agree_sorted
     attributes = list(range(len(schema)))
     outcomes = executor.map(
         "lhs.attribute", attributes, shared=shared, stage="lhs.shards"

@@ -61,5 +61,6 @@ class RetryPolicy:
         return raw * (1.0 + self.jitter * _fraction("retry", token, attempt))
 
 
-#: The executor's default: 3 attempts, 50 ms base, 2 s cap, 25% jitter.
+#: The sharded executor's policy: 3 attempts, 50 ms base, 2 s cap, 25%
+#: jitter.
 DEFAULT_RETRY_POLICY = RetryPolicy()

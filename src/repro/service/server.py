@@ -67,11 +67,7 @@ from repro.errors import ReproError, ServiceError
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.parallel.executor import (
-    PersistentPool,
-    resolve_jobs,
-    resolve_start_method,
-)
+from repro.parallel.executor import PersistentPool, resolve_jobs
 from repro.service import protocol
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -129,7 +125,6 @@ class ServiceConfig:
     session_ttl: float = 3600.0
     jobs: int = 1
     backend: str = "python"
-    mp_context: Optional[str] = None  # fork/spawn for the worker pool
     telemetry_dir: Optional[str] = None
     fault_plan: Optional[str] = None
     max_memory_entries: Optional[int] = None
@@ -165,14 +160,12 @@ class ServiceApp:
         # One persistent worker pool for the whole daemon: sessions
         # whose jobs setting matches the daemon default mine on it, so
         # request N pays zero pool spin-up after request 1 (or after
-        # warm_pool() at startup).  resolve_start_method validates
-        # --mp-context before the socket ever binds.
+        # warm_pool() at startup).  resolve_jobs refuses jobs > 1 on a
+        # platform without fork before the socket ever binds.
         self.pool: Optional[PersistentPool] = None
-        if resolve_jobs(config.jobs) > 1:
-            self.pool = PersistentPool(resolve_jobs(config.jobs),
-                                       mp_context=config.mp_context)
-        else:
-            resolve_start_method(config.mp_context)
+        jobs = resolve_jobs(config.jobs)
+        if jobs > 1:
+            self.pool = PersistentPool(jobs)
         # With --fault-plan the plan is active for the app's whole
         # lifetime (activation is process-global, so request threads see
         # it), and injections count into the process-wide registry.

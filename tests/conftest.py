@@ -3,11 +3,8 @@
 Setting ``REPRO_TEST_JOBS=N`` (N > 1) re-runs the whole suite with every
 :class:`~repro.core.depminer.DepMiner` defaulting to ``jobs=N``, so the
 tier-1 tests double as a differential check of the sharded execution
-layer (tests that pass an explicit ``jobs=`` keep their value).
-``REPRO_TEST_MP_CONTEXT=spawn`` additionally defaults the worker pool's
-start method, so the same differential sweep exercises spawn-mode
-workers (which re-import the package instead of inheriting state by
-fork).  CI runs the suite in several of these modes.
+layer (tests that pass an explicit ``jobs=`` keep their value).  CI runs
+the suite both ways.
 """
 
 from __future__ import annotations
@@ -21,18 +18,14 @@ from repro.core.relation import Relation
 from repro.datasets import paper_example_relation
 
 _TEST_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "1"))
-_TEST_MP_CONTEXT = os.environ.get("REPRO_TEST_MP_CONTEXT") or None
 
-if _TEST_JOBS > 1 or _TEST_MP_CONTEXT:
+if _TEST_JOBS > 1:
     from repro.core.depminer import DepMiner as _DepMiner
 
     _serial_init = _DepMiner.__init__
 
     def _sharded_init(self, *args, **kwargs):
-        if _TEST_JOBS > 1:
-            kwargs.setdefault("jobs", _TEST_JOBS)
-        if _TEST_MP_CONTEXT:
-            kwargs.setdefault("mp_context", _TEST_MP_CONTEXT)
+        kwargs.setdefault("jobs", _TEST_JOBS)
         _serial_init(self, *args, **kwargs)
 
     _DepMiner.__init__ = _sharded_init

@@ -17,10 +17,9 @@ over the same corpus of relations.  This module owns the shared pieces:
 * :func:`assert_all_miners_agree` — the classic four-implementation
   differential check (DepMiner variants, TANE, FDEP vs brute force);
 * :func:`backend_grid` / :func:`assert_backend_grid_agrees` — the
-  backend ∈ {python, columnar} × jobs ∈ {1, 2} × cache on/off sweep,
-  optionally widened by cells with shared memory switched off
-  (:func:`shared_memory_off`).  Cached cells run twice through the
-  same store, so the warm-hit replay path is conformance-checked too.
+  backend ∈ {python, columnar} × jobs ∈ {1, 2} × cache on/off sweep.
+  Cached cells run twice through the same store, so the warm-hit
+  replay path is conformance-checked too.
 
 ``tests/test_differential_miners.py`` drives the brute-force-oracle
 half; ``tests/test_backend_conformance.py`` drives the backend grid
@@ -30,7 +29,6 @@ intractable, e.g. the 70-attribute wide relation).
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 import pytest
@@ -47,7 +45,6 @@ from repro.datasets import (
     supplier_parts_relation,
 )
 from repro.fd.bruteforce import bruteforce_minimal_fds
-from repro.parallel import shm as shm_module
 
 # (num_attributes, num_tuples, correlation) — kept narrow enough for the
 # brute-force oracle and small enough that the whole sweep stays fast.
@@ -155,24 +152,9 @@ def depminer_variants(relation):
                                         jobs=2, build_armstrong="none")
 
 
-@contextlib.contextmanager
-def shared_memory_off():
-    """Hide :mod:`multiprocessing.shared_memory` from the arena.
-
-    Every pooled map then ships its context inline with each task —
-    the path a host without usable shared memory takes.
-    """
-    saved = shm_module._shm
-    shm_module._shm = None
-    try:
-        yield
-    finally:
-        shm_module._shm = saved
-
-
 def backend_grid(backends=("python", "columnar"), jobs_values=(1, 2),
-                 cache_values=(False, True), shm_values=(True,)):
-    """``(label, miner_factory, shm)`` cells of the backend conformance grid.
+                 cache_values=(False, True)):
+    """``(label, miner_factory)`` cells of the backend conformance grid.
 
     Columnar cells are emitted only when NumPy is importable — on the
     NumPy-free CI lane the grid quietly narrows to the python backend
@@ -180,28 +162,21 @@ def backend_grid(backends=("python", "columnar"), jobs_values=(1, 2),
     cell labels honest).  Each factory builds a fresh miner; cached
     cells share one in-memory :class:`ArtifactStore` per factory so a
     second run through the same factory exercises the warm-hit replay.
-
-    *shm_values* holds ``True`` (the default cell: shared memory
-    whenever the host has it) and/or ``False`` (the cell runs under
-    :func:`shared_memory_off`); off cells carry a ``-shmoff`` label.
     """
     for backend in backends:
         if backend == "columnar" and not numpy_available():
             continue
         for jobs in jobs_values:
             for cached in cache_values:
-                for shm in shm_values:
-                    label = (f"{backend}-jobs{jobs}-"
-                             f"{'cache' if cached else 'nocache'}")
-                    if not shm:
-                        label += "-shmoff"
-                    store = ArtifactStore() if cached else None
+                label = (f"{backend}-jobs{jobs}-"
+                         f"{'cache' if cached else 'nocache'}")
+                store = ArtifactStore() if cached else None
 
-                    def factory(backend=backend, jobs=jobs, store=store):
-                        return DepMiner(backend=backend, jobs=jobs,
-                                        cache=store, build_armstrong="none")
+                def factory(backend=backend, jobs=jobs, store=store):
+                    return DepMiner(backend=backend, jobs=jobs,
+                                    cache=store, build_armstrong="none")
 
-                    yield label, factory, shm
+                yield label, factory
 
 
 # -- assertions --------------------------------------------------------------
@@ -235,17 +210,16 @@ def assert_backend_grid_agrees(relation, oracle=None, **grid_kwargs):
     """
     if oracle is None:
         oracle = python_oracle_cover(relation)
-    for label, factory, shm in backend_grid(**grid_kwargs):
-        with contextlib.nullcontext() if shm else shared_memory_off():
-            miner = factory()
-            cover = canonical_cover(miner.run(relation).fds)
-            assert cover == oracle, (
-                f"DepMiner[{label}] diverged from the oracle cover"
+    for label, factory in backend_grid(**grid_kwargs):
+        miner = factory()
+        cover = canonical_cover(miner.run(relation).fds)
+        assert cover == oracle, (
+            f"DepMiner[{label}] diverged from the oracle cover"
+        )
+        if miner.cache is not None:
+            warm = canonical_cover(factory().run(relation).fds)
+            assert warm == oracle, (
+                f"DepMiner[{label}] warm cache replay diverged from "
+                f"the oracle cover"
             )
-            if miner.cache is not None:
-                warm = canonical_cover(factory().run(relation).fds)
-                assert warm == oracle, (
-                    f"DepMiner[{label}] warm cache replay diverged from "
-                    f"the oracle cover"
-                )
     return oracle

@@ -64,19 +64,6 @@ class TestWideLaneBoundary:
         relation = wide_lane_boundary_relation()
         assert_backend_grid_agrees(relation)
 
-    def test_shm_off_grid_agrees(self):
-        """backend × shared memory auto/off, jobs=2.
-
-        Switching the shared-memory arena off ships every shard context
-        inline with its task; that must never change a single bit of
-        the cover.  Cache cells are skipped — warm replay is orthogonal
-        to how shards travel."""
-        relation = wide_lane_boundary_relation()
-        assert_backend_grid_agrees(
-            relation, jobs_values=(2,), cache_values=(False,),
-            shm_values=(True, False),
-        )
-
     @needs_numpy
     def test_columnar_agree_sets_match_python(self):
         relation = wide_lane_boundary_relation()

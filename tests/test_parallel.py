@@ -132,12 +132,6 @@ class TestShardedExecutorPool:
             "test.square", [1, 2, 3], shared={"offset": 100}
         ) == [101, 104, 109]
 
-    def test_bounded_window(self):
-        executor = ShardedExecutor(jobs=2, max_pending=1)
-        assert executor.map("test.square", list(range(6))) == [
-            n * n for n in range(6)
-        ]
-
     def test_worker_failure_raises_shard_error_with_traceback(self):
         executor = ShardedExecutor(jobs=2)
         with pytest.raises(ShardError, match="exploded"):
@@ -177,8 +171,6 @@ class TestShardedExecutorPool:
     def test_invalid_parameters(self):
         with pytest.raises(ReproError):
             ShardedExecutor(jobs=2, shard_timeout=0)
-        with pytest.raises(ReproError):
-            ShardedExecutor(jobs=2, max_pending=0)
 
 
 # -- differential: jobs=1 vs jobs>1 on the full pipeline ---------------------

@@ -1,43 +1,30 @@
-"""Lifecycle tests: persistent-pool rebuild and shared-memory cleanup.
+"""Lifecycle tests: persistent-pool rebuild, dead workers, fork only.
 
-The tentpole's two stateful pieces — the reusable worker pool and the
-shared-memory arena — earn their keep only if their *failure* paths are
-boring: a poisoned pool must be rebuilt transparently on the next map,
-an aborted or exploded map must not leak ``/dev/shm`` segments, and a
-host without NumPy (or without ``multiprocessing.shared_memory``) must
-fall back to pickled dispatch with a bit-identical cover.
+The reusable worker pool earns its keep only if its *failure* paths
+are boring: a poisoned pool must be rebuilt transparently on the next
+map, a worker killed mid-shard (what the OOM killer does) must degrade
+the map to serial instead of hanging it, a platform without fork must
+refuse ``jobs > 1`` at construction, and ``close()`` must never hang
+whatever signal handlers the parent installed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import threading
 
 import pytest
 
 from repro.core.depminer import DepMiner
 from repro.datasets import paper_example_relation
 from repro.errors import ReproError
-from repro.obs import MetricsRegistry, ProgressAborted
-from repro.parallel import (
-    MpContextError,
-    PersistentPool,
-    ShardedExecutor,
-    ShardError,
-    SharedArrayArena,
-    register_shard_kind,
-    resolve_start_method,
-    shm_available,
-)
-from repro.parallel import shm as shm_module
-
-needs_shm = pytest.mark.skipif(
-    not (shm_available() and os.path.isdir("/dev/shm")),
-    reason="needs multiprocessing.shared_memory and a /dev/shm mount",
-)
-needs_numpy = pytest.mark.skipif(
-    not shm_module.numpy_available(), reason="needs NumPy"
-)
+from repro.obs import MetricsRegistry
+from repro.parallel import PersistentPool, ShardedExecutor, register_shard_kind
+from repro.parallel import executor as executor_module
+from repro.reliability import RetryPolicy
+from repro.service import ServiceApp, ServiceConfig
 
 
 @register_shard_kind("lifecycle.square")
@@ -55,55 +42,23 @@ def _fail_in_worker(shared, payload, metrics):
     return payload * payload
 
 
-@register_shard_kind("lifecycle.boom")
-def _boom(shared, payload, metrics):
-    raise RuntimeError(f"shard {payload} exploded everywhere")
-
-
-def _leaked_segments():
-    try:
-        names = os.listdir("/dev/shm")
-    except OSError:
-        return set()
-    return {n for n in names if n.startswith(shm_module.SEGMENT_PREFIX)}
-
-
-def _big_array():
-    import numpy
-
-    return numpy.arange(100_000, dtype=numpy.int64)  # ~800 KiB
-
-
-class TestMpContextValidation:
-    def test_none_passes_through(self):
-        assert resolve_start_method(None) is None
-
-    def test_known_method_is_returned(self):
-        method = multiprocessing.get_all_start_methods()[0]
-        assert resolve_start_method(method) == method
-
-    def test_unknown_method_raises_typed_error(self):
-        with pytest.raises(MpContextError, match="bogus"):
-            resolve_start_method("bogus")
-        assert issubclass(MpContextError, ReproError)
-
-    def test_depminer_validates_eagerly(self):
-        with pytest.raises(MpContextError):
-            DepMiner(jobs=2, mp_context="not-a-method")
-
-    def test_error_lists_available_methods(self):
-        with pytest.raises(MpContextError) as excinfo:
-            resolve_start_method("bogus")
-        for method in multiprocessing.get_all_start_methods():
-            assert method in str(excinfo.value)
+@register_shard_kind("lifecycle.kill_worker")
+def _kill_worker(shared, payload, metrics):
+    # What the OOM killer does to the worker that holds shard 1; the
+    # inline re-run in the (non-daemonic) parent survives it.
+    if payload == 1 and multiprocessing.current_process().daemon:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return payload
 
 
 class TestPoolRebuildAfterPoisoning:
-    def test_next_executor_rebuilds_a_poisoned_pool(self):
+    def test_next_executor_rebuilds_a_poisoned_pool(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "DEFAULT_RETRY_POLICY",
+                            RetryPolicy(retries=0))
+        monkeypatch.setattr(executor_module, "POISON_THRESHOLD", 1)
         pool = PersistentPool(jobs=2)
         metrics = MetricsRegistry()
-        poisoned = ShardedExecutor(jobs=2, pool=pool, retries=0,
-                                   poison_threshold=1, metrics=metrics)
+        poisoned = ShardedExecutor(jobs=2, pool=pool, metrics=metrics)
         # Workers refuse every shard -> poisoned -> serial fallback
         # still produces the right answer, and the pool is torn down.
         assert poisoned.map("lifecycle.fail_in_worker", [1, 2, 3]) == [
@@ -146,82 +101,15 @@ class TestPoolRebuildAfterPoisoning:
         # An executor holding a closed (injected) pool quietly builds a
         # fresh owned one — a service session must survive the daemon
         # pool's shutdown racing its own last request.
-        executor = ShardedExecutor(jobs=2, pool=pool, degrade=False)
+        executor = ShardedExecutor(jobs=2, pool=pool)
         assert executor.map("lifecycle.square", [1, 2]) == [1, 4]
+        assert not executor.degraded
         assert executor.pool is not pool
         executor.close()
 
 
-@needs_shm
-@needs_numpy
-class TestArenaCleanup:
-    def test_arena_close_unlinks_segments(self):
-        before = _leaked_segments()
-        arena = SharedArrayArena(metrics=MetricsRegistry())
-        arena.encode({"data": _big_array()})
-        assert len(_leaked_segments()) > len(before)
-        arena.close()
-        assert _leaked_segments() <= before
-
-    def test_no_leak_when_a_map_explodes(self):
-        before = _leaked_segments()
-        executor = ShardedExecutor(jobs=2, retries=0, degrade=False)
-        with pytest.raises(ShardError):
-            executor.map("lifecycle.boom", [0, 1, 2],
-                         shared={"data": _big_array()})
-        executor.close()
-        assert _leaked_segments() <= before
-
-    def test_no_leak_when_progress_aborts(self):
-        before = _leaked_segments()
-        executor = ShardedExecutor(
-            jobs=2, progress=lambda stage, done, total: False
-        )
-        with pytest.raises(ProgressAborted):
-            executor.map("lifecycle.square", [1, 2, 3, 4],
-                         shared={"data": _big_array()})
-        executor.close()
-        assert _leaked_segments() <= before
-
-    def test_no_leak_across_a_full_mining_run(self):
-        before = _leaked_segments()
-        miner = DepMiner(jobs=2, backend="columnar", build_armstrong="none")
-        miner.run(paper_example_relation())
-        miner.close()
-        assert _leaked_segments() <= before
-
-
 class TestDispatchFallbacks:
-    """No NumPy / no shared_memory -> pickled dispatch, same cover."""
-
-    def _covers_match(self):
-        relation = paper_example_relation()
-        serial = DepMiner(build_armstrong="none").run(relation).fds
-        miner = DepMiner(jobs=2, build_armstrong="none")
-        parallel = miner.run(relation).fds
-        miner.close()
-        assert {(fd.lhs.mask, fd.rhs_mask) for fd in serial} == {
-            (fd.lhs.mask, fd.rhs_mask) for fd in parallel
-        }
-
-    def test_numpy_absent_falls_back_to_pickle(self, monkeypatch):
-        monkeypatch.setattr(shm_module, "_np", None)
-        assert not shm_module.numpy_available()
-        self._covers_match()
-
-    def test_shared_memory_absent_falls_back_to_pickle(self, monkeypatch):
-        monkeypatch.setattr(shm_module, "_shm", None)
-        assert not shm_available()
-        self._covers_match()
-
-    def test_shm_disabled_executor_publishes_nothing(self, monkeypatch):
-        monkeypatch.setattr(shm_module, "_shm", None)
-        metrics = MetricsRegistry()
-        executor = ShardedExecutor(jobs=2, metrics=metrics)
-        assert not executor.shm_active
-        assert executor.map("lifecycle.square", [2, 3]) == [4, 9]
-        executor.close()
-        assert metrics.counters.get("parallel.shm_bytes", 0) == 0
+    """A pooled map reuses its pool, and a dead worker sends it inline."""
 
     def test_pool_reuse_counter_increments(self):
         metrics = MetricsRegistry()
@@ -234,26 +122,81 @@ class TestDispatchFallbacks:
         assert stats["maps"] == 2
         executor.close()
 
+    @pytest.mark.skipif(os.name == "nt", reason="needs POSIX signals")
+    def test_a_killed_worker_degrades_the_map_instead_of_hanging(self):
+        pool = PersistentPool(jobs=2)
+        metrics = MetricsRegistry()
+        executor = ShardedExecutor(jobs=2, pool=pool, metrics=metrics)
+        outcome = {}
+
+        def run():
+            outcome["result"] = executor.map("lifecycle.kill_worker",
+                                             [0, 1, 2, 3])
+
+        # A map that hangs stays in its daemon thread; the test fails.
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        try:
+            assert not thread.is_alive(), (
+                "the map hung on a worker killed mid-shard")
+            assert outcome["result"] == [0, 1, 2, 3]
+            assert metrics.counters["parallel.degraded"] == 1
+            assert executor.degraded
+            assert not pool.live
+            # The next executor on the pool (the next run) rebuilds it.
+            healthy = ShardedExecutor(jobs=2, pool=pool)
+            assert healthy.map("lifecycle.square", [1, 2, 3]) == [1, 4, 9]
+            assert not healthy.degraded
+            assert pool.stats()["builds"] == 2
+        finally:
+            pool.close()
+
+
+class TestForkOnly:
+    """Pool workers are forked: without fork, ``jobs > 1`` is an error
+    at construction, never a silent serial run."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+
+    @pytest.mark.parametrize("build", [
+        lambda: DepMiner(jobs=2),
+        lambda: ShardedExecutor(jobs=2),
+        lambda: PersistentPool(2),
+        lambda: ServiceApp(ServiceConfig(jobs=2)),
+    ], ids=["depminer", "executor", "pool", "service"])
+    def test_jobs_above_one_is_refused(self, no_fork, build):
+        with pytest.raises(ReproError, match="fork"):
+            build()
+
+    def test_jobs_one_still_mines(self, no_fork):
+        result = DepMiner(jobs=1).run(paper_example_relation())
+        assert len(result.fds) == 14
+
 
 def _worker_signals(_):
     """(SIGTERM runs its default action, the worker's process group)."""
-    import signal
-
     return (signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
             os.getpgrp() if hasattr(os, "getpgrp") else None)
 
 
 #: Rounds of ensure/map/close under a parent SIGTERM handler; a pool
-#: whose workers kept that handler hung within a few hundred.
+#: whose workers kept that handler hung within a few hundred.  Each
+#: round prints its worker pids, so a hung loop's workers can be killed.
 _SIGTERM_ROUNDS = 150
 _SIGTERM_LOOP = f"""
-import signal, sys
+import multiprocessing, signal, sys
 from repro.parallel import PersistentPool
 
 signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 for _ in range({_SIGTERM_ROUNDS}):
     pool = PersistentPool(2)
     workers, _ = pool.ensure()
+    print("workers", *(p.pid for p in multiprocessing.active_children()),
+          flush=True)
     assert workers.map(abs, [-1, -2, -3]) == [1, 2, 3]
     pool.close()
 print("closed", {_SIGTERM_ROUNDS})
@@ -266,8 +209,6 @@ class TestWorkerSignals:
     parent's process group, so a group signal reaches only the parent."""
 
     def test_workers_reset_sigterm_and_leave_the_group(self):
-        import signal
-
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         pool = PersistentPool(2)
         try:
@@ -281,7 +222,8 @@ class TestWorkerSignals:
             assert os.getpgrp() not in {group for _, group in states}
 
     @pytest.mark.skipif(os.name == "nt", reason="needs POSIX signals")
-    def test_close_never_hangs_under_a_parent_sigterm_handler(self):
+    def test_close_never_hangs_under_a_parent_sigterm_handler(self,
+                                                             tmp_path):
         import subprocess
         import sys
         from pathlib import Path
@@ -292,12 +234,29 @@ class TestWorkerSignals:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        try:
-            done = subprocess.run([sys.executable, "-c", _SIGTERM_LOOP],
-                                  capture_output=True, text=True, env=env,
-                                  timeout=120)
-        except subprocess.TimeoutExpired:
-            pytest.fail(f"{_SIGTERM_ROUNDS} pool closes under a SIGTERM "
-                        f"handler did not finish within 120 s")
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["closed", str(_SIGTERM_ROUNDS)]
+        # A file, not pipes: a hung worker sits in a process group of
+        # its own and would hold a pipe open after the loop is killed.
+        log = tmp_path / "loop.log"
+        with open(log, "w") as out:
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-c", _SIGTERM_LOOP], stdout=out,
+                    stderr=subprocess.STDOUT, env=env, timeout=120)
+            except subprocess.TimeoutExpired:
+                # run() killed the loop.  Each round's close() joined
+                # that round's workers, so only the last round's remain.
+                rounds = [line.split()[1:] for line in
+                          log.read_text().splitlines()
+                          if line.startswith("workers")]
+                for pid in rounds[-1] if rounds else ():
+                    try:
+                        os.kill(int(pid), signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                pytest.fail(f"{_SIGTERM_ROUNDS} pool closes under a "
+                            f"SIGTERM handler did not finish within 120 s "
+                            f"(hung in round {len(rounds)})")
+        output = log.read_text()
+        assert done.returncode == 0, output
+        assert output.splitlines()[-1].split() == [
+            "closed", str(_SIGTERM_ROUNDS)]

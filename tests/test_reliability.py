@@ -37,7 +37,8 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs import MetricsRegistry, Tracer
-from repro.parallel import ShardedExecutor, ShardError, register_shard_kind
+from repro.parallel import ShardedExecutor, register_shard_kind
+from repro.parallel import executor as executor_module
 from repro.partitions.streaming import stream_partition_database
 from repro.reliability import (
     KNOWN_SITES,
@@ -283,12 +284,18 @@ def shard_fault(**overrides):
     return base
 
 
+def allow_retries(monkeypatch, retries):
+    """Run executors under *retries* re-attempts with a 1 ms backoff."""
+    monkeypatch.setattr(executor_module, "DEFAULT_RETRY_POLICY",
+                        RetryPolicy(retries=retries, base=0.001))
+
+
 class TestExecutorRetry:
-    def test_transient_fault_is_retried_and_recovers(self):
+    def test_transient_fault_is_retried_and_recovers(self, monkeypatch):
+        allow_retries(monkeypatch, 2)
         metrics = MetricsRegistry()
         tracer = Tracer()
-        executor = ShardedExecutor(jobs=1, retries=2, retry_backoff=0.001,
-                                   tracer=tracer, metrics=metrics)
+        executor = ShardedExecutor(jobs=1, tracer=tracer, metrics=metrics)
         with fault_plan_active(plan(shard_fault(times=1)), metrics=metrics):
             assert executor.map(
                 "test.reliability_square", [2, 3]
@@ -298,16 +305,17 @@ class TestExecutorRetry:
         assert len(tracer.find("reliability.retry")) == 1
         assert not executor.degraded
 
-    def test_persistent_fault_exhausts_retries_serially(self):
-        executor = ShardedExecutor(jobs=1, retries=1, retry_backoff=0.001)
+    def test_persistent_fault_exhausts_retries_serially(self, monkeypatch):
+        allow_retries(monkeypatch, 1)
+        executor = ShardedExecutor(jobs=1)
         with fault_plan_active(plan(shard_fault(probability=1.0))):
             with pytest.raises(OSError, match="injected"):
                 executor.map("test.reliability_square", [2])
 
-    def test_typed_library_errors_are_never_retried(self):
+    def test_typed_library_errors_are_never_retried(self, monkeypatch):
+        allow_retries(monkeypatch, 3)
         metrics = MetricsRegistry()
-        executor = ShardedExecutor(jobs=1, retries=3, retry_backoff=0.001,
-                                   metrics=metrics)
+        executor = ShardedExecutor(jobs=1, metrics=metrics)
         with pytest.raises(ReproError, match="typed failure"):
             executor.map("test.fail_typed", [7])
         assert "parallel.retry" not in metrics.counters
@@ -338,11 +346,11 @@ class TestExecutorDegradation:
         # every *pool* attempt dies; the degraded serial re-run is clean
         return plan(shard_fault(probability=1.0, match={"pool": True}))
 
-    def test_degrades_to_serial_and_still_answers(self):
+    def test_degrades_to_serial_and_still_answers(self, monkeypatch):
+        allow_retries(monkeypatch, 1)
         metrics = MetricsRegistry()
         tracer = Tracer()
-        executor = ShardedExecutor(jobs=2, retries=1, retry_backoff=0.001,
-                                   tracer=tracer, metrics=metrics)
+        executor = ShardedExecutor(jobs=2, tracer=tracer, metrics=metrics)
         with fault_plan_active(self.pool_killer(), metrics=metrics):
             assert executor.map(
                 "test.reliability_square", [1, 2, 3, 4]
@@ -352,10 +360,10 @@ class TestExecutorDegradation:
         assert tracer.find("reliability.degraded")
         assert "degraded" in repr(executor)
 
-    def test_degradation_is_sticky_across_maps(self):
+    def test_degradation_is_sticky_across_maps(self, monkeypatch):
+        allow_retries(monkeypatch, 0)
         metrics = MetricsRegistry()
-        executor = ShardedExecutor(jobs=2, retries=0, retry_backoff=0.001,
-                                   metrics=metrics)
+        executor = ShardedExecutor(jobs=2, metrics=metrics)
         with fault_plan_active(self.pool_killer(), metrics=metrics):
             executor.map("test.reliability_square", [1, 2, 3])
         assert executor.degraded
@@ -366,28 +374,17 @@ class TestExecutorDegradation:
         ) == [25, 36]
         assert metrics.counters["parallel.degraded"] == 1
 
-    def test_poison_threshold_triggers_early_degradation(self):
+    def test_poison_threshold_triggers_early_degradation(self, monkeypatch):
+        allow_retries(monkeypatch, 5)
+        monkeypatch.setattr(executor_module, "POISON_THRESHOLD", 2)
         metrics = MetricsRegistry()
-        executor = ShardedExecutor(jobs=2, retries=5, retry_backoff=0.001,
-                                   poison_threshold=2, metrics=metrics)
+        executor = ShardedExecutor(jobs=2, metrics=metrics)
         with fault_plan_active(self.pool_killer(), metrics=metrics):
             assert executor.map(
                 "test.reliability_square", [1, 2, 3, 4]
             ) == [1, 4, 9, 16]
         assert metrics.counters["parallel.poisoned"] == 1
         assert metrics.counters["parallel.degraded"] == 1
-
-    def test_degrade_false_raises_instead(self):
-        executor = ShardedExecutor(jobs=2, retries=0, retry_backoff=0.001,
-                                   degrade=False)
-        with fault_plan_active(self.pool_killer()):
-            with pytest.raises(ShardError):
-                executor.map("test.reliability_square", [1, 2, 3])
-        assert not executor.degraded
-
-    def test_poison_threshold_validation(self):
-        with pytest.raises(ReproError):
-            ShardedExecutor(jobs=2, poison_threshold=0)
 
 
 # ---------------------------------------------------------------------------

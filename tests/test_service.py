@@ -169,6 +169,15 @@ class TestLifecycle:
         assert excinfo.value.status == 404
         assert client.stats()["registry"]["evicted"] == 1
 
+    def test_stats_reports_the_pool_lifecycle(self, service):
+        _, client = service(jobs=2)
+        client.register("pooled", attributes=ATTRIBUTES, rows=ROWS)
+        pool = client.stats()["pool"]
+        assert set(pool) == {"workers", "live", "builds", "reuses", "maps"}
+        assert pool["workers"] == 2
+        _, serial = service()
+        assert serial.stats()["pool"] is None
+
     def test_session_limit_is_typed(self, service):
         # with an infinite TTL nothing is idle-evictable
         _, client = service(max_sessions=2, session_ttl=0.0)
