@@ -65,7 +65,9 @@ def pack_cover(agree: Set[int],
 
 def unpack_cover(payload: Dict[str, Any], schema: Schema):
     """``(agree, max_sets, cmax_sets, lhs_sets, fds, stats)`` — fresh
-    containers, FDs rebuilt over *schema*."""
+    containers, FDs rebuilt over *schema* (one :class:`AttributeSet`
+    per distinct lhs, as :func:`repro.core.lhs.fd_output` builds
+    them)."""
     try:
         agree = set(payload["agree"])
         max_sets = {
@@ -77,10 +79,13 @@ def unpack_cover(payload: Dict[str, Any], schema: Schema):
         lhs_sets = {
             attr: list(masks) for attr, masks in payload["lhs"].items()
         }
-        fds = [
-            FD(AttributeSet(schema, lhs_mask), rhs)
-            for lhs_mask, rhs in payload["fds"]
-        ]
+        lhs_of: Dict[int, AttributeSet] = {}
+        fds = []
+        for lhs_mask, rhs in payload["fds"]:
+            lhs = lhs_of.get(lhs_mask)
+            if lhs is None:
+                lhs = lhs_of[lhs_mask] = AttributeSet(schema, lhs_mask)
+            fds.append(FD(lhs, rhs))
         stats = dict(payload["stats"])
         return agree, max_sets, cmax_sets, lhs_sets, fds, stats
     except Exception as error:

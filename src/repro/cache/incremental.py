@@ -15,8 +15,15 @@ couple never changes.  ``IncrementalMiner`` exploits this:
 - the delta masks are merged with the previous ``ag(r)`` (``∅``
   membership is monotone under appends, and a never-visited delta pair
   signals it exactly as in the cold algorithms);
-- only the comparatively cheap cmax/transversal tail re-derives, via
-  :meth:`repro.core.depminer.DepMiner.derive_from_agree_sets`.
+- steps 2–4 re-derive only the attributes the append moved, via
+  :meth:`repro.core.depminer.DepMiner.derive_from_agree_sets`: by
+  Lemma 3, an added agree set ``Y`` changes ``max(dep(r), A)`` only
+  when ``A ∉ Y`` and no current maximal set of ``A`` covers ``Y``.
+  Every other attribute's max/cmax/lhs families and, when none moved,
+  the FDs carry over from the last successful derivation, which the
+  miner keeps privately beside its ``ag(r)``.  The added masks are
+  measured against the ``ag(r)`` that derivation came from, so an
+  append whose tail raised leaves its masks to the next one.
 
 Both backends take this one delta path; neither the backend nor the
 agree algorithm changes how an append finds its couples.  The output
@@ -29,10 +36,10 @@ the grown relation's ``ag(r)`` and cover under its content keys, so a
 later cold run over the same data is a warm hit: it finds the cover
 first.
 
-Parallelism: the delta sweep runs in-process at every ``jobs`` value —
-an append's delta is at most appended rows × |r| couples, too few to
-repay a pool dispatch.  The re-derived tail still fans out per RHS
-attribute when ``jobs > 1``.
+Parallelism: an append runs in-process at every ``jobs`` value.  Its
+delta is at most appended rows × |r| couples, and its tail searches
+only the attributes it moved — both too little to repay a pool
+dispatch.  Only the initial cold mine fans out when ``jobs > 1``.
 
 Concurrency: appends are serialized on a per-instance mutex (the
 long-lived service keeps one ``IncrementalMiner`` per session and feeds
@@ -46,7 +53,7 @@ import threading
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.depminer import DepMiner, DepMinerResult
+from repro.core.depminer import DepMiner, DepMinerResult, DerivedCover
 from repro.core.relation import Relation
 from repro.errors import CacheError, ReproError
 from repro.obs import NULL_METRICS, Tracer, get_logger
@@ -134,6 +141,10 @@ class IncrementalMiner:
         self._append_owner: Optional[int] = None
         self._result = self.miner.run(source)
         self._agree: Set[int] = set(self._result.agree_sets)
+        # Steps 2–4 of the last successful mine, over its own copy of
+        # ag(r); appends re-derive from it, never from a handed-out
+        # result a caller may have mutated.
+        self._derived = DerivedCover.of(self._result)
         self._stats: Dict[str, int] = dict(self._result.stats)
 
     # -- introspection -------------------------------------------------------
@@ -162,8 +173,8 @@ class IncrementalMiner:
         """Append *rows* and re-mine; returns the updated result.
 
         Equivalent to ``DepMiner.run`` on the concatenated relation, but
-        only the delta couples are swept and only the derivation tail is
-        recomputed.
+        only the delta couples are swept and only the attributes whose
+        maximal sets they move are re-derived.
 
         Thread-safe: overlapping calls from different threads are
         serialized on a per-instance mutex (each sees the state the
@@ -234,12 +245,14 @@ class IncrementalMiner:
             self._stats["num_agree_sets"] = len(self._agree)
             relation = self.relation()
             relation_key = self._fingerprint.key
-        self._result = miner.derive_from_agree_sets(
-            self._agree, self._schema, self._num_rows,
+        result = miner.derive_from_agree_sets(
+            self._agree, self._derived, self._schema, self._num_rows,
             relation=relation, stats=self._stats,
             relation_key=relation_key,
         )
-        return self._result
+        self._derived = DerivedCover.of(result)
+        self._result = result
+        return result
 
     # -- internals -----------------------------------------------------------
 

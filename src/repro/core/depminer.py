@@ -32,7 +32,7 @@ timings survive error paths such as :class:`ArmstrongExistenceError`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.agree_sets import agree_sets, check_agree_options
 from repro.core.armstrong import (
@@ -44,6 +44,7 @@ from repro.core.attributes import AttributeSet, Schema
 from repro.core.lhs import fd_output, left_hand_sides
 from repro.core.maximal_sets import (
     complement_maximal_sets,
+    grow_maximal_sets,
     max_set_union,
     maximal_sets,
 )
@@ -66,7 +67,8 @@ from repro.parallel.executor import (
 )
 from repro.partitions.database import StrippedPartitionDatabase
 
-__all__ = ["DepMiner", "DepMinerResult", "discover_fds", "discover"]
+__all__ = ["DepMiner", "DepMinerResult", "DerivedCover", "discover_fds",
+           "discover"]
 
 logger = get_logger(__name__)
 
@@ -141,6 +143,39 @@ class DepMinerResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class DerivedCover:
+    """Steps 2–4 over one ``ag(r)``: the state an append carries over.
+
+    :class:`repro.cache.IncrementalMiner` keeps the derivation of its
+    last successful mine and hands it to
+    :meth:`DepMiner.derive_from_agree_sets`, which only reads it.
+    :meth:`of` copies every container, so no result handed to a caller
+    shares one with the derivation kept.
+    """
+
+    agree: FrozenSet[int]
+    max_sets: Dict[int, List[int]]
+    cmax_sets: Dict[int, List[int]]
+    lhs_sets: Dict[int, List[int]]
+    fds: Tuple[FD, ...]
+
+    @classmethod
+    def of(cls, result: DepMinerResult) -> "DerivedCover":
+        """A private copy of *result*'s ``ag(r)``, families and FDs."""
+        def copied(families):
+            return {attribute: list(masks)
+                    for attribute, masks in families.items()}
+
+        return cls(
+            agree=frozenset(result.agree_sets),
+            max_sets=copied(result.max_sets),
+            cmax_sets=copied(result.cmax_sets),
+            lhs_sets=copied(result.lhs_sets),
+            fds=tuple(result.fds),
+        )
+
+
 class DepMiner:
     """Configurable Dep-Miner runner.
 
@@ -196,8 +231,9 @@ class DepMiner:
         pool (the columnar agree sweep stays in-process) and the
         ``CMAX_SET`` + transversal tail fans out per RHS attribute
         (fused into the ``lhs`` phase span; the ``cmax`` span then
-        covers only parent-side shard preparation).  Pooled maps run
-        on one lazily-built, reusable pool of forked workers per
+        covers only parent-side shard preparation); an append's tail
+        (:meth:`derive_from_agree_sets`) stays in-process.  Pooled maps
+        run on one lazily-built, reusable pool of forked workers per
         miner — reused across ``run()`` calls, which is what makes
         repeated daemon-style requests cheap.  Where the platform
         cannot fork, ``jobs > 1`` raises :class:`ReproError`.
@@ -332,8 +368,8 @@ class DepMiner:
         per-attribute lhs fan-out; ``jobs=1`` keeps every call serial.
         Every executor runs on the *miner's* one
         :class:`~repro.parallel.PersistentPool` (built lazily on the
-        first pooled map, injected into incremental-append resolution
-        too), so repeated ``run()`` calls stop paying pool spin-up.
+        first pooled map), so repeated ``run()`` calls stop paying pool
+        spin-up.
         """
         if self.jobs <= 1:
             return None
@@ -512,19 +548,30 @@ class DepMiner:
             metrics, executor, mark,
         )
 
-    def derive_from_agree_sets(self, agree, schema: Schema, num_rows: int,
+    def derive_from_agree_sets(self, agree, previous: DerivedCover,
+                               schema: Schema, num_rows: int,
                                relation: Optional[Relation] = None,
                                stats: Optional[Dict[str, int]] = None,
                                relation_key: Optional[str] = None) -> DepMinerResult:
-        """Steps 2–5 from a precomputed ``ag(r)`` (bitmask iterable).
+        """Steps 2–5 over a grown ``ag(r)``, from the previous derivation.
 
-        The entry point of :class:`repro.cache.IncrementalMiner`, which
-        merges cached base agree sets with the delta of an append and
-        re-derives the (comparatively cheap) cmax/transversal tail.
-        When *relation_key* (the relation's content fingerprint) is
-        given and a :attr:`cache` is configured, the supplied ``ag(r)``
-        and the derived cover are stored under that relation's stage
-        keys, so a later cold ``run`` on the same data is a warm hit.
+        The entry point of :class:`repro.cache.IncrementalMiner` after an
+        append: *agree* is the merged ``ag(r)`` (bitmask iterable) and
+        *previous* the :class:`DerivedCover` over the ``ag(r)`` it grew
+        from, which is only read.  Lemma 3 read incrementally
+        (:func:`~repro.core.maximal_sets.grow_maximal_sets`) finds the
+        attributes whose maximal sets the added masks move; only those
+        get new complements and a new transversal search, ``FD_OUTPUT``
+        runs only when one did, and every other family and the FDs
+        carry over.  The tail runs in-process at every ``jobs`` value.
+        Its ``cmax``, ``lhs`` and ``fd_output`` phase spans and the
+        ``depminer.derive`` span carry ``rederived=<n>``, the count the
+        ``incremental.rederived_attributes`` counter also adds.  Step 5
+        always runs on *relation*.  When *relation_key* (the relation's
+        content fingerprint) is given and a :attr:`cache` is configured,
+        the supplied ``ag(r)`` and the derived cover are stored under
+        that relation's stage keys, so a later cold ``run`` on the same
+        data is a warm hit.
         """
         tracer = self._begin_trace()
         metrics = self.metrics if self.metrics is not None else NULL_METRICS
@@ -533,9 +580,8 @@ class DepMiner:
         stats = dict(stats) if stats else {}
         stats["num_agree_sets"] = len(agree)
         with tracer.span("depminer.derive", width=len(schema),
-                         rows=num_rows):
+                         rows=num_rows) as derive_span:
             metrics.gauge("agree.sets", len(agree))
-            executor = self._make_executor(tracer, metrics)
             keys = guard = None
             if self.cache is not None and relation_key is not None:
                 from repro.cache.artifacts import pack_agree
@@ -545,9 +591,44 @@ class DepMiner:
                     "agree", keys.agree, guard, pack_agree(agree, stats),
                     metrics=metrics,
                 )
-            return self._complete(
-                agree, schema, num_rows, relation, stats, tracer, metrics,
-                executor, mark, keys, guard,
+            with tracer.span("cmax", phase=True) as cmax_span:
+                max_sets, changed = grow_maximal_sets(
+                    previous.max_sets, agree - previous.agree
+                )
+                cmax = dict(previous.cmax_sets)
+                cmax.update(complement_maximal_sets(
+                    {attribute: max_sets[attribute] for attribute in changed},
+                    schema,
+                ))
+            rederived = len(changed)
+            if tracer.enabled:
+                cmax_span.attrs["rederived"] = rederived
+                derive_span.attrs["rederived"] = rederived
+            metrics.inc("incremental.rederived_attributes", rederived)
+            metrics.gauge(
+                "cmax.edges", sum(len(edges) for edges in cmax.values())
+            )
+            with tracer.span("lhs", phase=True,
+                             method=self.transversal_algorithm,
+                             rederived=rederived):
+                lhs_sets = dict(previous.lhs_sets)
+                lhs_sets.update(left_hand_sides(
+                    {attribute: cmax[attribute] for attribute in changed},
+                    schema, method=self.transversal_algorithm,
+                    max_size=self.max_lhs_size, metrics=metrics,
+                    progress=self.progress, tracer=tracer,
+                ))
+            with tracer.span("fd_output", phase=True, rederived=rederived):
+                fds = (fd_output(lhs_sets, schema) if changed
+                       else list(previous.fds))
+                metrics.gauge("fd.count", len(fds))
+            logger.debug(
+                "append re-derived %d of %d attributes: %d FDs",
+                rederived, len(schema), len(fds),
+            )
+            return self._finalize(
+                agree, max_sets, cmax, lhs_sets, fds, schema, num_rows,
+                relation, stats, tracer, metrics, mark, keys, guard,
             )
 
     def _agree_phase(self, spdb: StrippedPartitionDatabase, tracer: Tracer,
@@ -661,6 +742,21 @@ class DepMiner:
             num_rows, sum(tracer.phase_seconds(mark).values()),
         )
 
+        return self._finalize(
+            agree, max_sets, cmax, lhs_sets, fds, schema, num_rows,
+            relation, stats, tracer, metrics, mark, keys, guard,
+        )
+
+    def _finalize(self, agree, max_sets, cmax, lhs_sets, fds,
+                  schema: Schema, num_rows: int,
+                  relation: Optional[Relation], stats: Dict[str, int],
+                  tracer: Tracer, metrics: MetricsRegistry,
+                  mark: int, keys=None,
+                  guard: Optional[bytes] = None) -> DepMinerResult:
+        """The cover write-back under the stage *keys* of a cached run,
+        then step 5 (Armstrong) and result assembly — step 5 runs even
+        on a full cover hit, since Armstrong tuples draw values from
+        *relation*."""
         if keys is not None:
             from repro.cache.artifacts import pack_cover
 
@@ -669,18 +765,6 @@ class DepMiner:
                 pack_cover(agree, max_sets, cmax, lhs_sets, fds, stats),
                 metrics=metrics,
             )
-        return self._finalize(
-            agree, max_sets, cmax, lhs_sets, fds, schema, num_rows,
-            relation, stats, tracer, metrics, mark,
-        )
-
-    def _finalize(self, agree, max_sets, cmax, lhs_sets, fds,
-                  schema: Schema, num_rows: int,
-                  relation: Optional[Relation], stats: Dict[str, int],
-                  tracer: Tracer, metrics: MetricsRegistry,
-                  mark: int) -> DepMinerResult:
-        """Step 5 (Armstrong) and result assembly — runs even on a full
-        cover hit, since Armstrong tuples draw values from *relation*."""
         union = max_set_union(max_sets)
         armstrong = None
         classical = None

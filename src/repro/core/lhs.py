@@ -80,14 +80,19 @@ def fd_output(lhs_sets: Dict[int, List[int]], schema: Schema) -> List[FD]:
     transversals of ``cmax(dep(r), A)`` that contain ``A`` are exactly
     ``{A}``, because ``A`` alone already hits every edge.)  The FDs are
     built in :func:`~repro.fd.fd.sort_fds` order — by attribute, then
-    by ``(|X|, X)`` — so no FD objects are sorted afterwards.
+    by ``(|X|, X)`` — so no FD objects are sorted afterwards.  FDs with
+    the same lhs share one immutable :class:`AttributeSet`.
     """
     fds: List[FD] = []
+    lhs_of: Dict[int, AttributeSet] = {}
     for attribute in sorted(lhs_sets):
         bit = 1 << attribute
         for mask in sorted(lhs_sets[attribute],
                            key=lambda mask: (popcount(mask), mask)):
             if mask == bit:
                 continue
-            fds.append(FD(AttributeSet(schema, mask), attribute))
+            lhs = lhs_of.get(mask)
+            if lhs is None:
+                lhs = lhs_of[mask] = AttributeSet(schema, mask)
+            fds.append(FD(lhs, attribute))
     return fds

@@ -16,11 +16,16 @@ relation and ``max(dep(r), A) = ∅``, which downstream yields the FD
 ``cmax(dep(r), A)`` is the edge-wise complement ``{R \\ X}``; it is a
 simple hypergraph whose minimal transversals are the lhs of the minimal
 FDs with rhs ``A`` (section 2).
+
+Read incrementally, the same lemma says which families an append can
+move: a new agree set ``Y`` changes ``max(dep(r), A)`` only when
+``A ∉ Y`` and no current maximal set of ``A`` covers ``Y``
+(:func:`grow_maximal_sets`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.attributes import Schema
 from repro.hypergraph.hypergraph import maximize_sets
@@ -28,6 +33,7 @@ from repro.hypergraph.hypergraph import maximize_sets
 __all__ = [
     "maximal_sets",
     "maximal_sets_for_attribute",
+    "grow_maximal_sets",
     "complement_maximal_sets",
     "max_set_union",
     "disagree_sets",
@@ -59,6 +65,41 @@ def maximal_sets(agree: Iterable[int], schema: Schema) -> Dict[int, List[int]]:
         attribute: maximal_sets_for_attribute(agree, attribute)
         for attribute in range(len(schema))
     }
+
+
+def grow_maximal_sets(max_sets: Dict[int, List[int]],
+                      added: Iterable[int]) -> Tuple[Dict[int, List[int]],
+                                                     List[int]]:
+    """``max(dep(r), A)`` per attribute after ``ag(r)`` gained *added*.
+
+    *max_sets* are the families over the old ``ag(r)``; the result is
+    ``(families over ag(r) ∪ added, the attributes whose family
+    changed)``.  Per attribute, the added masks without ``A`` that no
+    current maximal set covers join the family, which is maximized
+    again — ``Max(Max(S) ∪ T) = Max(S ∪ T)``.  So ``R`` never joins
+    (it holds ``A``), and ``∅`` joins only an empty family: an append
+    that breaks a constant column.  An unchanged attribute keeps its
+    list object; *max_sets* itself is not modified.
+
+    >>> grow_maximal_sets({0: [0b010], 1: [0b001]}, [0b110, 0b001])
+    ({0: [6], 1: [1]}, [0])
+    """
+    added = list(added)
+    grown: Dict[int, List[int]] = {}
+    changed: List[int] = []
+    for attribute, masks in max_sets.items():
+        bit = 1 << attribute
+        fresh = [
+            mask for mask in added
+            if not mask & bit
+            and not any(mask & kept == mask for kept in masks)
+        ]
+        if fresh:
+            grown[attribute] = maximize_sets(masks + fresh)
+            changed.append(attribute)
+        else:
+            grown[attribute] = masks
+    return grown, changed
 
 
 def complement_maximal_sets(max_sets: Dict[int, List[int]],

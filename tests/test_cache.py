@@ -450,7 +450,9 @@ class TestFingerprint:
     def test_stage_keys_are_pinned(self, backend):
         from repro.datasets import paper_example_relation
 
-        miner = DepMiner(backend=backend)
+        # Stage keys fold in jobs; the golden keys are jobs=1 miners',
+        # whatever default the suite runs with.
+        miner = DepMiner(backend=backend, jobs=1)
         keys = PipelineKeys.for_miner(
             fingerprint_relation(paper_example_relation(),
                                  miner.nulls_equal),
@@ -757,6 +759,193 @@ class TestIncrementalMiner:
         )
         assert_same_mining(cold, result)
         assert (result.armstrong is None) == (cold.armstrong is None)
+
+
+class TestIncrementalDerivation:
+    """An append re-derives only the attributes whose maximal sets its
+    added agree sets move (Lemma 3); every case still equals a cold run
+    on the grown relation, on both backends."""
+
+    BACKENDS = pytest.mark.parametrize("backend", ["python", "columnar"])
+
+    @staticmethod
+    def rederived(metrics):
+        return metrics.snapshot()["counters"].get(
+            "incremental.rederived_attributes")
+
+    def grow(self, backend, schema, base, batches,
+             build_armstrong="none", max_lhs_size=None, **options):
+        """Append each batch and check it against a cold run; returns
+        the last result and each append's re-derived attribute count."""
+        skip_without_numpy(backend)
+        metrics = MetricsRegistry()
+        shared = dict(backend=backend, build_armstrong=build_armstrong,
+                      max_lhs_size=max_lhs_size)
+        incremental = IncrementalMiner(
+            Relation.from_rows(schema, base), metrics=metrics, **shared,
+            **options
+        )
+        rows, counts = list(base), []
+        for batch in batches:
+            before = self.rederived(metrics) or 0
+            result = incremental.append(batch)
+            counts.append(self.rederived(metrics) - before)
+            rows += batch
+            cold = DepMiner(**shared).run(Relation.from_rows(schema, rows))
+            assert_same_mining(cold, result)
+        return result, counts
+
+    @BACKENDS
+    def test_duplicate_rows_rederive_nothing(self, backend):
+        base = [(0, 1, 2), (0, 2, 2), (1, 1, 0)]
+        result, counts = self.grow(
+            backend, Schema.of_width(3), base, [[base[0]], base[1:]]
+        )
+        assert counts == [0, 0]
+        assert Schema.of_width(3).universe_mask in result.agree_sets
+
+    @BACKENDS
+    def test_row_adding_the_empty_agree_set(self, backend):
+        base = [(0, 0, 0), (0, 1, 1), (1, 0, 1)]   # no disjoint couple
+        result, counts = self.grow(
+            backend, Schema.of_width(3), base, [[(2, 2, 2)]]
+        )
+        assert 0 in result.agree_sets
+        assert counts == [0]    # ∅ is under every non-empty max set
+
+    @BACKENDS
+    @pytest.mark.parametrize("batch", [[(1, 2)], [(1, 0)]],
+                             ids=["to-empty", "to-non-empty"])
+    def test_row_breaking_a_constant_column(self, backend, batch):
+        schema = Schema.of_width(2)
+        base = [(0, 0), (0, 1)]                    # attribute 0 constant
+        result, counts = self.grow(backend, schema, base, [batch])
+        assert result.max_sets[0] != []
+        assert counts == [1]
+
+    @BACKENDS
+    def test_lane_boundary_relation(self, backend):
+        from tests.oracle import wide_lane_boundary_relation
+
+        relation = wide_lane_boundary_relation(num_rows=20, seed=3)
+        rows = list(relation.rows())
+        result, _counts = self.grow(
+            backend, relation.schema, rows[:12], [rows[12:16], rows[16:]]
+        )
+        assert any(mask >> 63 and mask & 1 for mask in result.agree_sets)
+
+    @BACKENDS
+    def test_max_lhs_size(self, backend):
+        rows = TestCachedDepMiner.rows(5, 60, width=6, values=3)
+        self.grow(backend, Schema.of_width(6), rows[:30],
+                  [rows[30:40], rows[40:]], max_lhs_size=2)
+
+    @BACKENDS
+    def test_jobs_2_appends_in_process(self, backend):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        rows = TestCachedDepMiner.rows(6, 50)
+        _result, counts = self.grow(
+            backend, Schema.of_width(5), rows[:30], [rows[30:40], rows[40:]],
+            jobs=2, tracer=tracer,
+        )
+        assert sum(counts) >= 1
+        lhs_spans = [span for span in tracer.find("lhs")
+                     if "rederived" in span.attrs]
+        assert len(lhs_spans) == 2
+        assert not any(span.attrs.get("fused_cmax") for span in lhs_spans)
+
+    @BACKENDS
+    def test_aborted_tail_leaves_its_masks_to_the_next_append(self,
+                                                              backend):
+        from repro.obs import ProgressAborted
+
+        skip_without_numpy(backend)
+        schema = Schema.of_width(3)
+        base = [(0, 0, 0), (0, 1, 1)]              # attribute 0 constant
+        armed = {"abort": False}
+        incremental = IncrementalMiner(
+            Relation.from_rows(schema, base), backend=backend,
+            build_armstrong="none",
+            progress=lambda *_: not armed["abort"],
+        )
+        armed["abort"] = True
+        with pytest.raises(ProgressAborted):
+            incremental.append([(1, 0, 5)])        # breaks attribute 0
+        armed["abort"] = False
+        result = incremental.append([(0, 0, 0)])   # adds nothing new
+        cold = DepMiner(backend=backend, build_armstrong="none").run(
+            Relation.from_rows(schema, base + [(1, 0, 5), (0, 0, 0)])
+        )
+        assert_same_mining(cold, result)
+
+    @BACKENDS
+    def test_mutating_a_handed_out_result_changes_no_append(self, backend):
+        skip_without_numpy(backend)
+        schema = Schema.of_width(6)
+        rows = TestCachedDepMiner.rows(11, 40, width=6, values=4)
+        incremental = IncrementalMiner(
+            Relation.from_rows(schema, rows[:20]), backend=backend,
+            build_armstrong="none",
+        )
+        # a batch, the same batch again (moves nothing), then a new one
+        for start in (20, 20, 30):
+            handed_out = incremental.result
+            handed_out.fds.clear()
+            for family in (handed_out.max_sets, handed_out.cmax_sets,
+                           handed_out.lhs_sets):
+                for masks in family.values():
+                    masks.append(schema.universe_mask)
+            handed_out.max_sets.clear()
+            handed_out.agree_sets.clear()
+            result = incremental.append(rows[start:start + 10])
+            cold = DepMiner(backend=backend, build_armstrong="none").run(
+                incremental.relation()
+            )
+            assert_same_mining(cold, result)
+            assert result.fds
+
+    @BACKENDS
+    def test_unchanged_cover_still_rebuilds_armstrong(self, backend):
+        skip_without_numpy(backend)
+        schema = Schema.of_width(3)
+        base = [(1, 0, 1), (2, 1, 1), (1, 1, 1), (2, 0, 2), (0, 1, 0)]
+        batch = [(4, 2, 4)]     # only ∅ with every row: already in ag(r)
+        # Proposition 1 fails on the base's domains, holds on the grown
+        before = DepMiner(backend=backend).run(
+            Relation.from_rows(schema, base))
+        cold = DepMiner(backend=backend).run(
+            Relation.from_rows(schema, base + batch))
+        assert before.armstrong is None and cold.armstrong is not None
+        result, counts = self.grow(
+            backend, schema, base, [batch], build_armstrong="real-world"
+        )
+        assert counts == [0]
+        assert sorted(result.armstrong.rows()) == sorted(cold.armstrong.rows())
+
+    @BACKENDS
+    def test_spans_and_metrics_keep_their_shape(self, backend):
+        from repro.obs import Tracer
+
+        skip_without_numpy(backend)
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        base = [(0, 1, 2), (0, 2, 2), (1, 1, 0)]
+        incremental = IncrementalMiner(
+            Relation.from_rows(Schema.of_width(3), base), backend=backend,
+            build_armstrong="none", tracer=tracer, metrics=metrics,
+        )
+        mark = tracer.mark()
+        result = incremental.append([base[0]])
+        assert {"cmax", "lhs", "fd_output"} <= set(result.phase_seconds)
+        for name in ("depminer.derive", "cmax", "lhs", "fd_output"):
+            (span,) = tracer.find(name, since=mark)
+            assert span.attrs["rederived"] == 0, name
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"]["incremental.rederived_attributes"] == 0
+        assert snapshot["gauges"]["fd.count"] == len(result.fds)
+        assert "cmax.edges" in snapshot["gauges"]
 
 
 class TestLeanAppend:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
 from repro.core.attributes import Schema
 from repro.core.maximal_sets import (
     complement_maximal_sets,
+    grow_maximal_sets,
     max_set_union,
     maximal_sets,
 )
@@ -149,3 +152,45 @@ class TestMaxUnion:
         max_sets = {0: masks(schema, "D", "B"), 1: masks(schema, "C")}
         union = max_set_union(max_sets)
         assert union == sorted(union)
+
+
+class TestGrowMaximalSets:
+    """Lemma 3 read incrementally: growing the families by added agree
+    sets equals recomputing them over the union."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_grow_equals_recompute(self, data):
+        width = data.draw(st.integers(min_value=1, max_value=6))
+        universe = (1 << width) - 1
+        family = st.sets(st.integers(min_value=0, max_value=universe),
+                         max_size=12)
+        old, added = data.draw(family), data.draw(family)
+        schema = Schema.of_width(width)
+        before = maximal_sets(old, schema)
+        grown, changed = grow_maximal_sets(before, added)
+        after = maximal_sets(old | added, schema)
+        assert grown == after
+        assert changed == [attribute for attribute in range(width)
+                           if after[attribute] != before[attribute]]
+        assert before == maximal_sets(old, schema)   # input untouched
+
+    def test_universe_never_joins(self):
+        schema = Schema.of_width(3)
+        before = maximal_sets([0b001, 0b010], schema)
+        grown, changed = grow_maximal_sets(before, [schema.universe_mask])
+        assert (grown, changed) == (before, [])
+
+    def test_empty_set_joins_only_an_empty_family(self):
+        schema = Schema.of_width(2)
+        before = maximal_sets([0b01], schema)    # attribute 0 is constant
+        assert before == {0: [], 1: [0b01]}
+        grown, changed = grow_maximal_sets(before, [0])
+        assert grown == {0: [0], 1: [0b01]}
+        assert changed == [0]
+
+    def test_unchanged_family_keeps_its_list(self):
+        before = {0: [0b110], 1: [0b101]}
+        grown, changed = grow_maximal_sets(before, [0b100])
+        assert changed == []
+        assert grown[0] is before[0] and grown[1] is before[1]
